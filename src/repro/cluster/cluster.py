@@ -7,10 +7,11 @@ journal's committed transaction — group-commit boundaries preserved —
 carrying each op's *logical* payload rather than raw journal extents,
 because the DBFS journal deliberately never holds PD payloads (§ 1 of
 the paper opens with exactly that log-residue violation; shipping
-device bytes would reintroduce it).  The capture point is the DBFS
-mutation-observer hook, which fires only after the op's journal
-transaction commits, so a record can never ship before it is durable
-on the leader.
+device bytes would reintroduce it).  The capture point is one
+subscription to the leader store's committed-change feed
+(:mod:`repro.storage.feed`), which publishes only after the op's
+journal transaction commits, so a record can never ship before it is
+durable on the leader.
 
 Per shard the stream is strictly ordered and batched
 (``batch_records`` per message, pipelined across shards and
@@ -220,7 +221,6 @@ class ReplicatedCluster:
         )
         self._ded = AccessCredential(holder="cluster-replicator", is_ded=True)
         self._lock = threading.RLock()
-        self._capture_taps: List[Tuple[DatabaseFS, Callable]] = []
 
         leader_location = self._parse_region("node-0", regions[0])
         self.placement.admit_node(leader_location)
@@ -331,31 +331,28 @@ class ReplicatedCluster:
     # ------------------------------------------------------------------
 
     def _attach_capture(self, node: ClusterNode) -> None:
-        """Register the post-commit mutation tap on every shard."""
-        for index, shard in enumerate(node.store.shards):
-            def tap(op: str, payload: Dict[str, object], _i: int = index) -> None:
-                self._capture(_i, op, payload)
-            shard.add_mutation_observer(tap)
-            self._capture_taps.append((shard, tap))
+        """Subscribe the tap to ``node``'s committed-change feed."""
+        node.store.feed.subscribe(self._capture)
 
     def _detach_capture(self) -> None:
-        for shard, tap in self._capture_taps:
-            shard.remove_mutation_observer(tap)
-        self._capture_taps = []
+        self._leader.store.feed.unsubscribe(self._capture)
 
     def _capture(self, shard_index: int, op: str, payload: Dict[str, object]) -> None:
         leader = self._leader
+        # The TTL deadline is derivable from membrane_json; followers
+        # re-derive it, so it never ships.
+        shipped = {k: v for k, v in payload.items() if k != "deadline"}
         with self._lock:
             if op in _SCHEMA_OPS:
                 # Fleet-level schema ops fan out to every shard; one
                 # copy (the primary's) is the canonical stream entry.
                 if shard_index == 0:
-                    leader.schema_stream.append(op, dict(payload))
+                    leader.schema_stream.append(op, shipped)
                 return
             subject_id = payload.get("subject_id")
             if isinstance(subject_id, str):
                 self.placement.note_subject(subject_id)
-            leader.streams[shard_index].append(op, dict(payload))
+            leader.streams[shard_index].append(op, shipped)
             if op == "delete":
                 uid = payload.get("uid")
                 if isinstance(uid, str):
@@ -873,7 +870,7 @@ class ReplicatedCluster:
                 journal_config=getattr(shards[0].journal, "config", None),
                 telemetry=self.telemetry,
                 record_codec=getattr(shards[0], "_record_codec", "v2"),
-                ttl_observers=store.fleet_ttl_observers,
+                feed=store.feed,
             )
         return DatabaseFS.remount_from_device(
             store.device,
@@ -883,6 +880,7 @@ class ReplicatedCluster:
             journal_config=getattr(store.journal, "config", None),
             telemetry=self.telemetry,
             record_codec=getattr(store, "_record_codec", "v2"),
+            feed=store.feed,
         )
 
     # ------------------------------------------------------------------

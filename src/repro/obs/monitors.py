@@ -327,10 +327,10 @@ class ExpiryDaemon(Monitor):
 
     Every membrane with a TTL is indexed in a hierarchical
     :class:`~repro.kernel.timerwheel.TimerWheel` by its absolute
-    expiry deadline (fed on store/evolve/transfer through the DBFS TTL
-    observer hook, and on remount via :meth:`seed`).  Each tick
-    advances the wheel to the shared clock's ``now`` and drains the
-    due deadlines into **erasure waves**:
+    expiry deadline (fed by the store's committed-change feed, and on
+    remount via :meth:`seed`).  Each tick advances the wheel to the
+    shared clock's ``now`` and drains the due deadlines into **erasure
+    waves**:
 
     * bounded at ``wave_size`` records each, so foreground traffic
       never stalls behind a mass expiry;
@@ -387,23 +387,26 @@ class ExpiryDaemon(Monitor):
         self.erased_total = 0
         self.shed_waves = 0
         self.wave_seqs: Deque[int] = deque(maxlen=16)
-        hook = getattr(dbfs, "add_ttl_observer", None)
-        if hook is not None:
-            hook(self._on_ttl_event)
+        dbfs.feed.subscribe(self._on_change)
         self.seed()
 
     # -- wheel feeding ---------------------------------------------------
 
-    def _on_ttl_event(
-        self, uid: str, subject_id: str, deadline: Optional[float]
+    def _on_change(
+        self, shard: int, op: str, payload: Mapping[str, object]
     ) -> None:
-        """DBFS TTL observer: store/evolve/transfer reschedule, erase
-        cancels.  Runs on whatever thread mutated the store."""
+        """Committed-change subscriber: store/membrane_update schedule
+        the published deadline (or cancel when it is ``None``), delete
+        cancels, every other op is ignored.  Runs on whatever thread
+        mutated the store."""
+        if op not in ("store", "membrane_update", "delete"):
+            return
+        deadline = payload.get("deadline")  # a delete carries none
         with self._lock:
             if deadline is None:
-                self.wheel.cancel(uid)
+                self.wheel.cancel(payload["uid"])
             else:
-                self.wheel.schedule(uid, deadline)
+                self.wheel.schedule(payload["uid"], deadline)
 
     def seed(self) -> int:
         """(Re)index every live TTL'd membrane — construction and
@@ -422,26 +425,29 @@ class ExpiryDaemon(Monitor):
     def rebind(self, dbfs, builtins=None) -> int:
         """Re-attach after a true-crash remount.
 
-        An in-place ``remount()`` keeps the store object, so the
-        daemon's observer registration and wheel survive on their own.
-        ``remount_from_device`` / ``remount_from_devices`` build
-        *fresh* store objects with empty observer lists — without this
-        call the daemon would keep feeding a dead store's wheel and
-        never hear another TTL event.  Re-registers the TTL hook on
-        the new store, swaps in a fresh wheel (stale pre-crash entries
+        An in-place ``remount()`` keeps the store object, its feed and
+        the daemon's wheel, so nothing needs re-attaching.
+        ``remount_from_device(feed=)`` / ``remount_from_devices(feed=)``
+        build *fresh* store objects publishing into the crashed
+        store's feed, so the subscription survives; only the wheel is
+        stale.  This swaps in a fresh wheel (stale pre-crash entries
         drop), re-seeds it from the recovered membranes, and clears
-        the backlog of uids that may no longer exist.  Returns the
-        number of deadlines re-indexed.
+        the backlog of uids that may no longer exist.  The
+        subscription moves only when ``dbfs.feed`` is a different
+        feed (a store recovered without ``feed=``), so repeated
+        crash/rebind cycles never subscribe the daemon twice.
+        Returns the number of deadlines re-indexed.
         """
         with self._lock:
+            old_feed = self.dbfs.feed
             self.dbfs = dbfs
             if builtins is not None:
                 self.builtins = builtins
             self.wheel = TimerWheel(start=self.clock.now())
             self._backlog.clear()
-        hook = getattr(dbfs, "add_ttl_observer", None)
-        if hook is not None:
-            hook(self._on_ttl_event)
+        if dbfs.feed is not old_feed:
+            old_feed.unsubscribe(self._on_change)
+            dbfs.feed.subscribe(self._on_change)
         return self.seed()
 
     @property

@@ -206,6 +206,7 @@ class CrashSim:
                 operator_key=self._operator_key,
                 journal_config=self.journal_config,
                 record_codec=self.record_codec,
+                feed=fs.feed,  # type: ignore[attr-defined]
             )
         return ShardedDBFS.remount_from_devices(
             list(devices),
@@ -213,6 +214,7 @@ class CrashSim:
             operator_key=self._operator_key,
             journal_config=self.journal_config,
             record_codec=self.record_codec,
+            feed=fs.feed,  # type: ignore[attr-defined]
         )
 
     # -- reference workload -------------------------------------------------

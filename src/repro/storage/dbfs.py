@@ -63,7 +63,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .. import errors
 from ..core.active_data import AccessCredential, PDRef
@@ -90,6 +90,7 @@ from .codec import (
     encode_record_v1,
     is_v2_payload,
 )
+from .feed import ChangeFeed
 from .planner import STRATEGY_INDEX, QueryPlan, compile_residual, plan_query
 from .inode import (
     KIND_DIRECTORY,
@@ -313,25 +314,19 @@ class DatabaseFS:
         """
         self._write_lock = threading.RLock()
         self._index_lock = threading.RLock()
-        # TTL observers survive an in-place remount (the registrations
-        # belong to daemons, not to the derived state _init_volatile
-        # rebuilds); remount_from_device starts with a fresh list, and
-        # the expiry daemon re-seeds its wheel from the membranes
-        # (ExpiryDaemon.rebind is the re-attach path for that case).
-        self.ttl_observers: List[Callable[[str, str, Optional[float]], None]] = []
-        # Mutation observers: the replication capture point.  Each
-        # fires *after* a mutation's journal transaction commits, with
-        # (op, payload) sufficient to replay the op on another node.
-        # Same lifecycle as ttl_observers.
-        self.mutation_observers: List[
-            Callable[[str, Dict[str, object]], None]
-        ] = []
+        #: The committed-change feed (see :mod:`repro.storage.feed`)
+        #: and this store's shard index in it.  Subscriptions belong
+        #: to the feed, not to this object: an in-place remount keeps
+        #: it, and remount_from_device(feed=) hands it on.  A sharded
+        #: store replaces both with its fleet-wide feed.
+        self.feed = ChangeFeed()
+        self.feed_index = 0
         # A delete's _finish_erase persists the membrane through
         # put_membrane; replaying that nested membrane_update *before*
         # the delete op would leave an "erased" membrane over a live
         # plaintext record on followers.  The delete path raises this
-        # flag so only its own op record ships.
-        self._suppress_mutation_notify = False
+        # flag so only its own op record is published.
+        self._feed_muted = False
 
     def _init_volatile(self) -> None:
         """(Re)create every derived, in-memory-only structure.
@@ -458,7 +453,7 @@ class DatabaseFS:
         if self.bloom_filters:
             self._table_blooms[pd_type.name] = BloomFilter.sized(4096)
         self._journal_op("create_type", pd_type.name)
-        self._notify_mutation("create_type", {"pd_type": pd_type})
+        self._publish("create_type", {"pd_type": pd_type})
 
     @_locked_writer
     def evolve_type(
@@ -547,7 +542,7 @@ class DatabaseFS:
         self._record_cache.clear()
         self._types[new_type.name] = new_type
         self._journal_op("evolve_type", new_type.name)
-        self._notify_mutation("evolve_type", {"pd_type": new_type})
+        self._publish("evolve_type", {"pd_type": new_type})
         return new_type
 
     def schema_version(self, type_name: str) -> int:
@@ -641,7 +636,7 @@ class DatabaseFS:
         if field_name not in declared:
             declared.append(field_name)
         self._journal_op("create_index", f"{type_name}.{field_name}")
-        self._notify_mutation(
+        self._publish(
             "create_index", {"type_name": type_name, "field_name": field_name}
         )
         return index
@@ -1251,10 +1246,9 @@ class DatabaseFS:
         # MVCC begin version lands after the commit: snapshots begun
         # before this point filter the uid out; later ones see it.
         self.mvcc.stamp_store(uid)
-        # TTL observers (the expiry daemon's timer wheel) hear about
-        # the new deadline only after the record is durably committed.
-        self._notify_ttl(uid, membrane.subject_id, membrane.expiry_deadline())
-        self._notify_mutation(
+        # Subscribers (the expiry daemon's timer wheel, the replication
+        # tap) hear about the record only after it is durably committed.
+        self._publish(
             "store",
             {
                 "uid": uid,
@@ -1262,6 +1256,7 @@ class DatabaseFS:
                 "subject_id": membrane.subject_id,
                 "record": dict(request.record),
                 "membrane_json": request.membrane_json,
+                "deadline": membrane.expiry_deadline(),
             },
         )
         return PDRef(uid=uid, pd_type=pd_type.name, subject_id=membrane.subject_id)
@@ -1464,75 +1459,25 @@ class DatabaseFS:
         # Chain entry lands after the journal commit: revocation and
         # RTBF become visible to every snapshot begun from here on.
         self.mvcc.stamp_membrane(uid, old_json, encoded)  # type: ignore[arg-type]
-        # An erasure cancels the TTL timer (nothing left to expire);
-        # any other membrane change re-indexes the (possibly evolved)
-        # deadline.  put_membrane is the single membrane-persist path,
-        # so every TTL-bearing mutation funnels through here.
-        self._notify_ttl(
-            uid,
-            membrane.subject_id,
-            None if membrane.erased else membrane.expiry_deadline(),
-        )
-        self._notify_mutation(
+        # An erasure drops the deadline (nothing left to expire); any
+        # other membrane change re-publishes the (possibly evolved)
+        # one.  put_membrane is the single membrane-persist path, so
+        # every TTL-bearing mutation funnels through here.
+        self._publish(
             "membrane_update",
             {
                 "uid": uid,
                 "subject_id": membrane.subject_id,
                 "membrane_json": encoded,
+                "deadline": (
+                    None if membrane.erased else membrane.expiry_deadline()
+                ),
             },
         )
 
-    def add_ttl_observer(
-        self, observer: Callable[[str, str, Optional[float]], None]
-    ) -> None:
-        """Subscribe to TTL deadline changes.
-
-        ``observer(uid, subject_id, deadline)`` fires after every
-        committed store or membrane update; ``deadline`` is the
-        absolute expiry instant (:meth:`Membrane.expiry_deadline`) or
-        ``None`` when the PD has no TTL any more (no TTL set, or the
-        membrane was just erased — either way the timer should drop).
-        The expiry daemon's timer wheel is the intended subscriber.
-        """
-        self.ttl_observers.append(observer)
-
-    def _notify_ttl(
-        self, uid: str, subject_id: str, deadline: Optional[float]
-    ) -> None:
-        for observer in self.ttl_observers:
-            observer(uid, subject_id, deadline)
-
-    def add_mutation_observer(
-        self, observer: Callable[[str, Dict[str, object]], None]
-    ) -> None:
-        """Subscribe to committed mutations (the replication tap).
-
-        ``observer(op, payload)`` fires after each mutating operation's
-        journal transaction commits — ops: ``store``, ``update``,
-        ``delete``, ``membrane_update``, ``create_type``,
-        ``evolve_type``, ``create_index`` — with a payload sufficient
-        to replay the operation verbatim on a follower node
-        (``repro.cluster`` is the intended subscriber).  Payloads for
-        ``store`` carry the plaintext record only in flight; the
-        cluster's shipping log redacts them the moment an erasure for
-        the same uid is captured.
-        """
-        self.mutation_observers.append(observer)
-
-    def remove_mutation_observer(
-        self, observer: Callable[[str, Dict[str, object]], None]
-    ) -> None:
-        """Unsubscribe (failover demotes a leader by dropping its tap)."""
-        try:
-            self.mutation_observers.remove(observer)
-        except ValueError:
-            pass
-
-    def _notify_mutation(self, op: str, payload: Dict[str, object]) -> None:
-        if self._suppress_mutation_notify:
-            return
-        for observer in self.mutation_observers:
-            observer(op, payload)
+    def _publish(self, op: str, payload: Dict[str, object]) -> None:
+        if not self._feed_muted:
+            self.feed.publish(self.feed_index, op, payload)
 
     def lineage_members(self, lineage: str) -> List[str]:
         """Member uids of one copy-lineage group (indexed lookup)."""
@@ -1753,7 +1698,7 @@ class DatabaseFS:
         self.stats.updates += 1
         self.journal.commit()
         self.mvcc.commit()
-        self._notify_mutation(
+        self._publish(
             "update",
             {
                 "uid": request.uid,
@@ -1832,13 +1777,13 @@ class DatabaseFS:
             # entries are destroyed, never resurrected.
             self._unindex_record(membrane.pd_type, request.uid, record)
             self._scrub_record(request.uid, request.mode)
-        self._suppress_mutation_notify = True
+        self._feed_muted = True
         try:
             membrane = self._finish_erase(request.uid, credential)
         finally:
-            self._suppress_mutation_notify = False
+            self._feed_muted = False
         self.stats.deletes += 1
-        self._notify_mutation(
+        self._publish(
             "delete",
             {
                 "uid": request.uid,
@@ -2330,6 +2275,7 @@ class DatabaseFS:
         scan_batch_rows: int = 256,
         bloom_filters: bool = True,
         index_page_capacity: int = DEFAULT_PAGE_CAPACITY,
+        feed: Optional[ChangeFeed] = None,
     ) -> "DatabaseFS":
         """True-crash remount: a fresh DBFS over surviving state only.
 
@@ -2356,6 +2302,12 @@ class DatabaseFS:
            debris the trees no longer reference.
 
         The reconciliation report lands in :attr:`recovery_report`.
+
+        ``feed`` (usually the crashed store's :attr:`feed`) is joined
+        once reconciliation is done, so its subscribers keep hearing
+        committed changes from the recovered store without
+        re-subscribing.  Their derived state may still be stale —
+        ``ExpiryDaemon.rebind`` re-seeds the daemon's wheel.
         """
         fs = cls.__new__(cls)
         fs.cache_config = (
@@ -2416,6 +2368,8 @@ class DatabaseFS:
         start_ns = time.perf_counter_ns()
         fs.recovery_report = fs._crash_recover()
         fs._hist_remount.observe(time.perf_counter_ns() - start_ns)
+        if feed is not None:
+            fs.feed = feed
         return fs
 
     def _crash_recover(self) -> Dict[str, int]:

@@ -64,6 +64,7 @@ from .block import BlockDevice
 from .btree import DEFAULT_PAGE_CAPACITY, DurableFieldIndex
 from .cache import CacheConfig, DEFAULT_CACHE_CONFIG
 from .dbfs import DatabaseFS, DBFSStats
+from .feed import ChangeFeed
 from .inode import InodeTable
 from .mvcc import FleetSnapshot, Snapshot
 from .journal import JournalConfig, TXN_COMMIT, TXN_DELETE
@@ -137,6 +138,11 @@ class ShardedDBFS:
             )
             for i in range(shard_count)
         ]
+        #: One committed-change feed for the whole fleet: each shard
+        #: publishes into it under its own index.
+        self.feed = ChangeFeed()
+        for index, shard in enumerate(self._shards):
+            shard.feed, shard.feed_index = self.feed, index
         # uid -> owning shard index; maintained at store time and
         # rebuilt from the shards' subject trees on remount.  Writes
         # take _uid_lock; lookups are lock-free single dict reads.
@@ -150,12 +156,6 @@ class ShardedDBFS:
         #: Per-shard crash-reconciliation reports of the last
         #: remount_from_devices (empty for a normally built fleet).
         self.recovery_report: Dict[str, object] = {}
-        # Fleet-level retention of TTL observer registrations, so a
-        # true-crash remount can carry them over to the fresh shard
-        # objects it builds (see remount_from_devices ttl_observers=).
-        self._fleet_ttl_observers: List[
-            Callable[[str, str, Optional[float]], None]
-        ] = []
 
     @classmethod
     def remount_from_devices(
@@ -170,9 +170,7 @@ class ShardedDBFS:
         scan_batch_rows: int = 256,
         bloom_filters: bool = True,
         index_page_capacity: int = DEFAULT_PAGE_CAPACITY,
-        ttl_observers: Sequence[
-            Callable[[str, str, Optional[float]], None]
-        ] = (),
+        feed: Optional[ChangeFeed] = None,
     ) -> "ShardedDBFS":
         """True-crash remount of a whole fleet, shard by shard.
 
@@ -186,14 +184,11 @@ class ShardedDBFS:
         reconciliation reports (and the degraded map) land in
         :attr:`recovery_report`.
 
-        ``ttl_observers`` (usually the crashed fleet's
-        :attr:`fleet_ttl_observers`) are re-registered on every
-        recovered shard, so daemons subscribed before the crash keep
-        hearing TTL events on the sharded path exactly as they do
-        across a single-DBFS in-place remount.  The observers' *wheel
-        state* is still stale — pair this with
-        ``ExpiryDaemon.rebind`` to re-seed from the recovered
-        membranes.
+        ``feed`` (usually the crashed fleet's :attr:`feed`) becomes
+        the recovered fleet's feed, so subscribers from before the
+        crash keep hearing committed changes from every recovered
+        shard.  Their derived state may still be stale — pair this
+        with ``ExpiryDaemon.rebind`` to re-seed the daemon's wheel.
         """
         if not devices or len(devices) != len(inode_tables):
             raise errors.DBFSError(
@@ -211,7 +206,7 @@ class ShardedDBFS:
         fleet._uid_shard = {}
         fleet._uid_lock = threading.Lock()
         fleet._fanout = None
-        fleet._fleet_ttl_observers = list(ttl_observers)
+        fleet.feed = feed if feed is not None else ChangeFeed()
         for index, (device, inodes) in enumerate(zip(devices, inode_tables)):
             try:
                 shard = DatabaseFS.remount_from_device(
@@ -225,6 +220,7 @@ class ShardedDBFS:
                     scan_batch_rows=scan_batch_rows,
                     bloom_filters=bloom_filters,
                     index_page_capacity=index_page_capacity,
+                    feed=fleet.feed,
                 )
             except (errors.RgpdOSError, ValueError, KeyError, TypeError) as exc:
                 # Isolate the corruption: one bad shard must degrade,
@@ -232,12 +228,10 @@ class ShardedDBFS:
                 fleet._shards.append(None)  # type: ignore[arg-type]
                 fleet._degraded[index] = f"{type(exc).__name__}: {exc}"
                 continue
+            shard.feed_index = index
             fleet._shards.append(shard)
             for uid in shard.all_uids():
                 fleet._uid_shard[uid] = index
-        for observer in fleet._fleet_ttl_observers:
-            for _, shard in fleet._healthy():
-                shard.add_ttl_observer(observer)
         torn_batches = fleet._resolve_torn_fleet_batches()
         fleet.recovery_report = {
             "shards": len(fleet._shards),
@@ -528,29 +522,6 @@ class ShardedDBFS:
                 total[key] = total.get(key, 0) + value
         total["cycle_complete"] = complete
         return total
-
-    def add_ttl_observer(
-        self, observer: Callable[[str, str, Optional[float]], None]
-    ) -> None:
-        """Subscribe to TTL deadline changes on every shard.
-
-        One observer hears the whole fleet: the expiry daemon keeps a
-        single timer wheel and routes each firing back to the owning
-        shard through ``subjects_by_shard``.  The registration is also
-        retained fleet-side (``_fleet_ttl_observers``) so
-        :meth:`remount_from_devices` can re-attach observers to the
-        fresh shard objects it builds — see ``ExpiryDaemon.rebind``.
-        """
-        self._fleet_ttl_observers.append(observer)
-        for _, shard in self._healthy():
-            shard.add_ttl_observer(observer)
-
-    @property
-    def fleet_ttl_observers(
-        self,
-    ) -> List[Callable[[str, str, Optional[float]], None]]:
-        """The registrations to carry into ``remount_from_devices``."""
-        return list(self._fleet_ttl_observers)
 
     def has_index(self, type_name: str, field_name: str) -> bool:
         return self._primary().has_index(type_name, field_name)

@@ -241,3 +241,26 @@ class TestDemotion:
             assert cluster.lag()[demoted.node_id] == 0
         finally:
             cluster.close()
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_capture_tap_follows_the_leader_feed(self, shared_authority, shards):
+        """The cluster holds exactly one tap, on the current leader's
+        committed-change feed: failover moves it, and the demoted
+        leader — recovered into its old feed — carries none."""
+        system = make_cluster_system(shared_authority, shards=shards)
+        cluster = ReplicatedCluster(system, regions=("eu", "eu"))
+        try:
+            old_feed = cluster.leader_store.feed
+            assert old_feed.subscribers.count(cluster._capture) == 1
+            collect_users(system, 3, prefix="tap")
+            cluster.sync()
+            cluster.fail_leader()
+            assert cluster._capture not in old_feed.subscribers
+            cluster.promote()
+            demoted = cluster.demote()
+            assert demoted.store.feed is old_feed
+            assert cluster._capture not in demoted.store.feed.subscribers
+            new_feed = cluster.leader_store.feed
+            assert new_feed.subscribers.count(cluster._capture) == 1
+        finally:
+            cluster.close()

@@ -3,7 +3,7 @@
 The daemon's contract, each part tested here:
 
 * **Feeding** — construction seeds the wheel from the live store; the
-  DBFS TTL observer keeps it fed on store (schedule) and erase
+  store's committed-change feed keeps it fed on store (schedule) and erase
   (cancel) without rescanning.
 * **Waves** — due deadlines drain into erasure waves bounded at
   ``wave_size``, one journal group commit per shard per wave, each

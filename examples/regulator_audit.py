@@ -81,9 +81,9 @@ def inspection() -> None:
 
     report = operator.audit()
     print(f"   audit verdict: {report.summary()}")
-    for finding in report.findings:
-        status = "PASS" if finding.ok else "FAIL"
-        print(f"     [{status}] {finding.rule:28s} ({finding.article})")
+    for control in report.controls:
+        print(f"     [{control.status.upper():4s}] {control.control_id:32s} "
+              f"({control.article})")
 
     subject_id = refs[1].subject_id
     access = operator.rights.right_of_access(subject_id)

@@ -29,7 +29,6 @@ from . import errors
 from .core.active_data import AccessCredential, ActiveData, PDRef, PDView
 from .core.builtins import BuiltinFunctions, EraseReport
 from .core.clock import Clock, format_duration, parse_duration
-from .core.compliance import ComplianceAuditor, ComplianceReport, Finding
 from .core.crypto import Authority, OperatorKey, generate_keypair
 from .core.datatypes import FieldDef, PDType
 from .core.ded import (
@@ -89,15 +88,12 @@ __all__ = [
     "Authority",
     "BuiltinFunctions",
     "Clock",
-    "ComplianceAuditor",
-    "ComplianceReport",
     "ConsentDecision",
     "DEDCostModel",
     "DataExecutionDomain",
     "EraseReport",
     "ErasureOutcome",
     "FieldDef",
-    "Finding",
     "InvocationResult",
     "LatencyHistogram",
     "LogEntry",

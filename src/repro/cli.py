@@ -362,7 +362,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.continuous > 0:
         daemon = system.start_monitors(expiry_daemon=args.expiry_daemon)
         daemon.run_for_ticks(args.continuous)
-    report = system.audit_report()
+    report = system.audit()
     if args.evidence_out:
         count = system.evidence.export_jsonl(args.evidence_out)
         print(f"wrote {count} evidence entries to {args.evidence_out}",
@@ -431,7 +431,7 @@ def cmd_retain(args: argparse.Namespace) -> int:
             f"checkpointed, {report['blocks_reclaimed']} block(s) "
             "reclaimed")
 
-    audit = system.audit_report()
+    audit = system.audit()
     retention = next(
         c for c in audit.controls if c.control_id == "art5e-retention"
     )

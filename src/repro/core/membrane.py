@@ -154,12 +154,12 @@ class Membrane:
         **Canonical boundary rule.**  A membrane is expired at the
         instant ``now == created_at + ttl_seconds`` (inclusive ``>=``).
         Every expiry decision in the system — the DED access filter,
-        the TTL watcher monitor, the Art. 5(1)(e) audit control, the
-        compliance auditor's grace check, transfer export/import and
-        the expiry daemon — must route through this predicate (or its
-        ``deadline`` / :meth:`remaining_ttl` companions) so that a PD
-        exactly at its deadline is treated identically everywhere:
-        unreadable, overdue, and not transferable.
+        the TTL watcher monitor, the Art. 5(1)(e) audit controls,
+        transfer export/import and the expiry daemon — must route
+        through this predicate (or its ``deadline`` /
+        :meth:`remaining_ttl` companions) so that a PD exactly at its
+        deadline is treated identically everywhere: unreadable,
+        overdue, and not transferable.
         """
         if self.ttl_seconds is None:
             return False

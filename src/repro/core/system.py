@@ -9,7 +9,7 @@
 * the **Processing Store** (the only entry point), the **built-ins**,
   the per-invocation **DEDs**, and the **processing log**;
 * the **authority escrow** keys for the right to be forgotten;
-* the **subject-rights** API and the **compliance auditor**.
+* the **subject-rights** API and the article-indexed **audit engine**.
 
 Typical use::
 
@@ -31,7 +31,8 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from .. import errors
 from ..kernel.machine import Machine, MachineConfig
@@ -47,7 +48,6 @@ from ..storage.shard import ShardedDBFS
 from .active_data import PDRef
 from .builtins import EraseReport
 from .clock import Clock
-from .compliance import ComplianceAuditor, ComplianceReport
 from .crypto import Authority
 from .datatypes import PDType
 from .ded import DEDCostModel, InvocationResult
@@ -55,6 +55,9 @@ from .processing_log import ProcessingLog
 from .processing_store import Processing, ProcessingStore
 from .purposes import Purpose
 from .rights import SubjectRights
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.audit import AuditReport
 
 
 def _device_driver(device: BlockDevice) -> Callable[[IORequest], bytes]:
@@ -177,12 +180,6 @@ class RgpdOS:
             log=self.log,
             clock=self.clock,
             telemetry=self.telemetry,
-        )
-        self.auditor = ComplianceAuditor(
-            dbfs=self.dbfs,
-            builtins=self.ps.builtins,
-            log=self.log,
-            clock=self.clock,
         )
         # Art. 33/34: breach monitoring over the mediation counters.
         from .breach import BreachMonitor  # deferred: breach uses log types
@@ -447,17 +444,13 @@ class RgpdOS:
     # Compliance & time
     # ------------------------------------------------------------------
 
-    def audit(self) -> ComplianceReport:
-        return self.auditor.audit()
+    def audit(self) -> "AuditReport":
+        """Run the article-indexed audit (``repro.obs.audit``).
 
-    def audit_report(self):
-        """Run the article-indexed audit engine (``repro.obs.audit``).
-
-        Unlike :meth:`audit` (the seed's rule-based
-        :class:`ComplianceReport`, which this folds in), the returned
-        :class:`~repro.obs.audit.AuditReport` indexes every verdict by
-        GDPR article and attaches resolvable evidence references, and
-        the run itself is sealed into the evidence trail.
+        One :class:`~repro.obs.audit.AuditReport`: the six article
+        controls and the eight § 2 technical rules, each indexed by
+        GDPR article with resolvable evidence references; the run
+        itself is sealed into the evidence trail.
         """
         return self.audit_engine.run()
 

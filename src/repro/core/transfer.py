@@ -46,6 +46,7 @@ from .. import errors
 from .active_data import PDRef
 from .datatypes import ORIGIN_THIRD_PARTY, PDType
 from .membrane import BASIS_CONSENT, Membrane
+from .processing_log import ACCESS_PRODUCED, PDAccess
 from .system import RgpdOS
 
 PACKAGE_FORMAT = "rgpdos-transfer/1"
@@ -384,7 +385,12 @@ def import_package(
             purpose="builtin_acquisition",
             processing="transfer:import",
             outcome="completed",
-            accesses=(),
+            # Art. 30: the import is this operator's collection of the
+            # record, so it lands in the subject's record of processing.
+            accesses=(
+                PDAccess(uid=ref.uid, subject_id=ref.subject_id,
+                         mode=ACCESS_PRODUCED),
+            ),
             detail=f"imported {ref.uid} from "
                    f"{package.get('source_operator')}",
         )

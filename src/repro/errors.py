@@ -205,10 +205,6 @@ class ErasureError(GDPRError):
     """Raised when the right to be forgotten cannot be enforced."""
 
 
-class ComplianceError(GDPRError):
-    """Raised by the compliance auditor when an invariant is broken."""
-
-
 # ---------------------------------------------------------------------------
 # DSL layer
 # ---------------------------------------------------------------------------

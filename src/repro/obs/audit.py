@@ -1,11 +1,11 @@
 """Article-indexed compliance audit engine.
 
 The paper's pitch is that the OS can *demonstrate* GDPR compliance,
-not merely enforce it: § 4's processing log "logs every executed
-processing", and the design replaces sysadmin eyeballs with
-machine-checked obligations.  This module is the demonstrating half:
+not merely enforce it: § 2 has rgpdOS force the operator "to respect a
+number of *technical* rules", and § 4's processing log "logs every
+executed processing".  This module is the demonstrating half:
 :class:`AuditEngine` evaluates a live :class:`~repro.core.system.RgpdOS`
-against a **control map** keyed by GDPR article —
+against one **control map** keyed by GDPR article —
 
 * Art. 6   — lawful basis declared (and consent actually granted) for
   every purpose that processed PD;
@@ -17,17 +17,20 @@ against a **control map** keyed by GDPR article —
 * Art. 33  — breach notification: every notifiable breach report is
   either notified or inside its 72-hour window;
 * Art. 30  — records of processing: the log covers every subject that
-  holds PD and every entry went through the PS.
+  holds PD and every entry went through the PS;
 
-Each control pulls concrete :class:`Evidence` — processing-log
-entries, telemetry counters and gauges, membrane state, journal
-stats — and every evidence item carries a ``ref`` that
+plus the eight § 2 technical rules (``rule-*`` controls): every PD
+wrapped, DBFS reachable by DEDs only, membranes well formed, copies
+consistent, TTLs respected, sensitive fields separated, all processing
+via the PS, erased PD unreadable.
+
+Every control reads the same :class:`AuditObservations` — one membrane
+pass, one set of outsider probes, one TTL-overdue list and one
+processing-log scan per run — and pulls concrete :class:`Evidence`:
+processing-log entries, telemetry counters and gauges, membrane state,
+sealed trail entries.  Every evidence item carries a ``ref`` that
 :func:`resolve_evidence` can re-resolve against the live system, so a
-report is checkable, not just readable.  The pre-existing
-:class:`~repro.core.compliance.ComplianceAuditor` rules (membrane
-presence, erasure, sensitive-field separation, ...) are *folded into*
-the same report rather than duplicated: each of its findings becomes
-one more article-indexed control result.
+report is checkable, not just readable.
 
 Reports render as JSON (``to_dict``) and regulator-ready markdown
 (``to_markdown``), and every audit run seals a summary entry into the
@@ -37,12 +40,14 @@ system's hash-chained :class:`~repro.obs.evidence.EvidenceTrail`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .. import errors
 from ..core.active_data import AccessCredential
 from ..core.breach import NOTIFICATION_DEADLINE_SECONDS
-from ..core.membrane import LAWFUL_BASES
+from ..core.membrane import LAWFUL_BASES, Membrane
+from ..storage.query import DataQuery, MembraneQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.system import RgpdOS
@@ -50,16 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 STATUS_PASS = "pass"
 STATUS_WARN = "warn"
 STATUS_FAIL = "fail"
-
-#: Metric evidence attached to each folded ComplianceAuditor rule, so
-#: even the structural probes carry a registry-resolvable reference.
-_FOLDED_RULE_METRICS = {
-    "dbfs-ded-only": "rgpdos.dbfs.denied_accesses",
-    "every-pd-has-membrane": "rgpdos.dbfs.records",
-    "erased-pd-unreadable": "rgpdos.dbfs.deletes",
-    "all-processing-via-ps": "rgpdos.audit.log_entries",
-}
-_FOLDED_DEFAULT_METRIC = "rgpdos.dbfs.records"
 
 
 @dataclass(frozen=True)
@@ -189,13 +184,109 @@ class AuditReport:
         return "\n".join(lines)
 
 
+class AuditObservations:
+    """What one audit run reads from the live system, each read once.
+
+    Controls share these instead of re-walking the store.  Each is
+    computed on first use and then cached for the run, so a read that
+    raises fails only the controls that needed it.
+    """
+
+    def __init__(self, system: "RgpdOS", credential: AccessCredential):
+        self.system = system
+        self.credential = credential
+        self.now = system.clock.now()
+
+    @cached_property
+    def membranes(self) -> List[Tuple[str, Membrane]]:
+        """Every ``(uid, membrane)`` pair: the one membrane pass."""
+        return self.system.dbfs.iter_membranes(self.credential)
+
+    @cached_property
+    def ttl_overdue(self) -> List[str]:
+        """Live membranes past their TTL, on the canonical inclusive
+        boundary (:meth:`Membrane.is_expired`): a PD exactly at its
+        deadline is already overdue here, exactly as the DED already
+        refuses to serve it and the expiry daemon already erases it."""
+        return [
+            uid
+            for uid, membrane in self.membranes
+            if not membrane.erased and membrane.is_expired(self.now)
+        ]
+
+    @cached_property
+    def rogue_entries(self) -> List[int]:
+        """Processing-log entries that bypassed the PS."""
+        return [e.entry_id for e in self.system.log.entries() if not e.via_ps]
+
+    @cached_property
+    def outsider_probes(self) -> Tuple[int, int]:
+        """``(refused, attempted)``: a non-DED credential tried on every
+        DBFS entry point.  The boundary is probed, not trusted; each
+        refusal adds one to ``rgpdos.dbfs.denied_accesses``."""
+        dbfs = self.system.dbfs
+        outsider = AccessCredential(holder="audit-probe", is_ded=False)
+        types = dbfs.list_types()
+        attempts: List[Callable[[], object]] = []
+        if types:
+            attempts.append(lambda: dbfs.query_membranes(
+                MembraneQuery(pd_type=types[0]), outsider))
+        if self.membranes:
+            uid = self.membranes[0][0]
+            attempts.append(lambda: dbfs.fetch_records(
+                DataQuery(uids=(uid,)), outsider))
+            attempts.append(lambda: dbfs.get_membrane(uid, outsider))
+        attempts.append(
+            lambda: dbfs.export_subject("audit-probe-subject", outsider))
+        refused = 0
+        for attempt in attempts:
+            try:
+                attempt()
+            except errors.PDLeakError:
+                refused += 1
+        return refused, len(attempts)
+
+    @cached_property
+    def breach(self) -> Dict[str, float]:
+        monitor = self.system.breach_monitor
+        pending = monitor.pending_notifications()
+        overdue = [r for r in pending if r.notification_deadline < self.now]
+        countdown = min(
+            (r.notification_deadline - self.now for r in pending
+             if r.notification_deadline >= self.now),
+            default=0.0,
+        )
+        return {
+            "notifiable": len(monitor.notifiable_reports()),
+            "pending": len(pending),
+            "overdue": len(overdue),
+            "countdown_seconds": countdown,
+        }
+
+
+def _rule(control_id: str, article: str, ok: bool, detail: str,
+          metric: str) -> ControlResult:
+    """One § 2 technical rule as a pass/fail control citing ``metric``."""
+    return ControlResult(
+        control_id=control_id,
+        article=article,
+        title=f"Technical rule: {control_id[len('rule-'):]}",
+        status=STATUS_PASS if ok else STATUS_FAIL,
+        detail=detail,
+        evidence=[Evidence(
+            kind="rule", ref=f"metric:{metric}", summary=detail, data=ok,
+        )],
+    )
+
+
 class AuditEngine:
     """Evaluates the control map against a live system.
 
     Construct once per :class:`RgpdOS` (the system does this itself as
-    ``system.audit_engine``); each :meth:`run` produces a fresh
-    :class:`AuditReport`, refreshes the ``rgpdos.audit.*`` gauges, and
-    seals a summary entry into the system's evidence trail.
+    ``system.audit_engine``; :meth:`RgpdOS.audit` runs it); each
+    :meth:`run` produces a fresh :class:`AuditReport`, refreshes the
+    ``rgpdos.audit.*`` gauges, and seals a summary entry into the
+    system's evidence trail.
     """
 
     def __init__(self, system: "RgpdOS") -> None:
@@ -205,7 +296,9 @@ class AuditEngine:
 
     # -- the control map --------------------------------------------------
 
-    def control_map(self) -> List[Callable[[], ControlResult]]:
+    def control_map(
+        self,
+    ) -> List[Callable[[AuditObservations], ControlResult]]:
         return [
             self._control_lawful_basis,
             self._control_minimisation,
@@ -213,27 +306,37 @@ class AuditEngine:
             self._control_security,
             self._control_breach_notification,
             self._control_records_of_processing,
+            self._rule_every_pd_has_membrane,
+            self._rule_dbfs_ded_only,
+            self._rule_membranes_wellformed,
+            self._rule_copy_membrane_consistency,
+            self._rule_ttl_respected,
+            self._rule_sensitive_fields_separated,
+            self._rule_all_processing_via_ps,
+            self._rule_erased_pd_unreadable,
         ]
+
+    def observe(self) -> AuditObservations:
+        """Fresh, lazily read observations of the live system."""
+        return AuditObservations(self.system, self._ded)
 
     def run(self) -> AuditReport:
         """Run every control; never raises — crashes become failures."""
         system = self.system
-        self._publish_observables()
-        report = AuditReport(
-            at=system.clock.now(), operator=system.operator_name
-        )
+        obs = self.observe()
+        self._publish_observables(obs)
+        report = AuditReport(at=obs.now, operator=system.operator_name)
         for control in self.control_map():
             try:
-                report.controls.append(control())
+                report.controls.append(control(obs))
             except errors.RgpdOSError as exc:
                 report.controls.append(ControlResult(
-                    control_id=control.__name__.replace("_control_", "art-"),
+                    control_id=control.__name__.lstrip("_").replace("_", "-"),
                     article="-",
                     title=control.__name__,
                     status=STATUS_FAIL,
                     detail=f"control crashed: {exc}",
                 ))
-        report.controls.extend(self._folded_auditor_controls())
         self._publish_verdicts(report)
         trail_entry = system.evidence.append(
             kind="audit",
@@ -253,20 +356,17 @@ class AuditEngine:
 
     # -- observable gauges -------------------------------------------------
 
-    def _publish_observables(self) -> None:
+    def _publish_observables(self, obs: AuditObservations) -> None:
         """Refresh the ``rgpdos.audit.*`` gauges the controls cite.
 
         Publishing *before* evidence is gathered means every
         ``metric:`` ref in the report resolves against the registry at
         the values the verdicts were computed from.
         """
-        system = self.system
-        registry = system.telemetry.registry
-        now = system.clock.now()
-        overdue = self._ttl_overdue()
-        registry.gauge("rgpdos.audit.ttl_overdue").set(len(overdue))
-        registry.gauge("rgpdos.audit.log_entries").set(len(system.log))
-        status = self._breach_status(now)
+        registry = self.system.telemetry.registry
+        registry.gauge("rgpdos.audit.ttl_overdue").set(len(obs.ttl_overdue))
+        registry.gauge("rgpdos.audit.log_entries").set(len(self.system.log))
+        status = obs.breach
         registry.gauge("rgpdos.audit.breach_notifiable").set(
             status["notifiable"])
         registry.gauge("rgpdos.audit.breach_overdue").set(status["overdue"])
@@ -281,42 +381,9 @@ class AuditEngine:
         registry.gauge("rgpdos.audit.controls_warn").set(counts[STATUS_WARN])
         registry.gauge("rgpdos.audit.controls_fail").set(counts[STATUS_FAIL])
 
-    # -- shared observations ----------------------------------------------
+    # -- article controls --------------------------------------------------
 
-    def _membranes(self):
-        return self.system.dbfs.iter_membranes(self._ded)
-
-    def _ttl_overdue(self) -> List[str]:
-        """Live membranes past their TTL, on the canonical inclusive
-        boundary (:meth:`Membrane.is_expired`): a PD exactly at its
-        deadline is already overdue here, exactly as the DED already
-        refuses to serve it and the expiry daemon already erases it."""
-        now = self.system.clock.now()
-        return [
-            uid
-            for uid, membrane in self._membranes()
-            if not membrane.erased and membrane.is_expired(now)
-        ]
-
-    def _breach_status(self, now: float) -> Dict[str, float]:
-        monitor = self.system.breach_monitor
-        pending = monitor.pending_notifications()
-        overdue = [r for r in pending if r.notification_deadline < now]
-        countdown = min(
-            (r.notification_deadline - now for r in pending
-             if r.notification_deadline >= now),
-            default=0.0,
-        )
-        return {
-            "notifiable": len(monitor.notifiable_reports()),
-            "pending": len(pending),
-            "overdue": len(overdue),
-            "countdown_seconds": countdown,
-        }
-
-    # -- controls ----------------------------------------------------------
-
-    def _control_lawful_basis(self) -> ControlResult:
+    def _control_lawful_basis(self, obs: AuditObservations) -> ControlResult:
         """Art. 6: every purpose names a lawful basis; consent-based
         purposes that processed PD are actually granted somewhere."""
         system = self.system
@@ -326,7 +393,7 @@ class AuditEngine:
             if p.basis not in LAWFUL_BASES
         ]
         granted: Dict[str, int] = {name: 0 for name in purposes}
-        for _uid, membrane in self._membranes():
+        for _uid, membrane in obs.membranes:
             if membrane.erased:
                 continue
             for purpose, decision in membrane.consents.items():
@@ -385,7 +452,7 @@ class AuditEngine:
             status=status, detail=detail, evidence=evidence,
         )
 
-    def _control_minimisation(self) -> ControlResult:
+    def _control_minimisation(self, obs: AuditObservations) -> ControlResult:
         """Art. 5(1)(c): purposes scoped to views; decode counters show
         the store materialises only projected fields."""
         system = self.system
@@ -452,7 +519,7 @@ class AuditEngine:
             status=status, detail=detail, evidence=evidence,
         )
 
-    def _control_retention(self) -> ControlResult:
+    def _control_retention(self, obs: AuditObservations) -> ControlResult:
         """Art. 5(1)(e): no live PD outlives its TTL.
 
         The verdict rests on *proactive* enforcement: the expiry
@@ -463,7 +530,7 @@ class AuditEngine:
         passes; a clean scan with no enforcement history still passes
         but says so honestly in the detail.
         """
-        overdue = self._ttl_overdue()
+        overdue = obs.ttl_overdue
         evidence = [
             Evidence(
                 kind="telemetry",
@@ -526,39 +593,37 @@ class AuditEngine:
             status=status, detail=detail, evidence=evidence,
         )
 
-    def _control_security(self) -> ControlResult:
-        """Art. 32: outsider probes refused (reuses the auditor's
-        negative probe rather than trusting the refusal code)."""
-        system = self.system
-        finding = system.auditor._check_dbfs_ded_only()
-        denied = system.dbfs.stats.denied_accesses
+    def _control_security(self, obs: AuditObservations) -> ControlResult:
+        """Art. 32: outsider probes refused at every DBFS entry point."""
+        refused, attempted = obs.outsider_probes
+        ok = refused == attempted
+        detail = f"{refused}/{attempted} outsider probes refused"
         evidence = [
             Evidence(
                 kind="telemetry",
                 ref="metric:rgpdos.dbfs.denied_accesses",
                 summary="non-DED access attempts refused at the DBFS "
                         "boundary (includes this audit's probes)",
-                data=denied,
+                data=self.system.dbfs.stats.denied_accesses,
             ),
             Evidence(
-                kind="auditor", ref="metric:rgpdos.dbfs.records",
-                summary=f"probe outcome: {finding.detail}",
-                data=finding.ok,
+                kind="rule", ref="metric:rgpdos.dbfs.records",
+                summary=f"probe outcome: {detail}", data=ok,
             ),
         ]
         return ControlResult(
             control_id="art32-security", article="Art. 32",
             title="Security of processing (DED-only mediation)",
-            status=STATUS_PASS if finding.ok else STATUS_FAIL,
-            detail=finding.detail, evidence=evidence,
+            status=STATUS_PASS if ok else STATUS_FAIL,
+            detail=detail, evidence=evidence,
         )
 
-    def _control_breach_notification(self) -> ControlResult:
+    def _control_breach_notification(
+        self, obs: AuditObservations
+    ) -> ControlResult:
         """Art. 33: notifiable breaches notified inside 72 hours."""
-        system = self.system
-        now = system.clock.now()
-        status_map = self._breach_status(now)
-        monitor = system.breach_monitor
+        status_map = obs.breach
+        monitor = self.system.breach_monitor
         evidence = [
             Evidence(
                 kind="telemetry",
@@ -607,11 +672,13 @@ class AuditEngine:
             status=status, detail=detail, evidence=evidence,
         )
 
-    def _control_records_of_processing(self) -> ControlResult:
+    def _control_records_of_processing(
+        self, obs: AuditObservations
+    ) -> ControlResult:
         """Art. 30: the processing log is the record of processing
         activities — complete per subject, all entries via the PS."""
         system = self.system
-        rogue = [e.entry_id for e in system.log.entries() if not e.via_ps]
+        rogue = obs.rogue_entries
         uncovered = [
             subject for subject in system.dbfs.list_subjects()
             if not system.log.for_subject(subject)
@@ -662,32 +729,160 @@ class AuditEngine:
             status=status, detail=detail, evidence=evidence,
         )
 
-    # -- folding the legacy auditor ---------------------------------------
+    # -- § 2 technical rules -----------------------------------------------
 
-    def _folded_auditor_controls(self) -> List[ControlResult]:
-        """Every :class:`ComplianceAuditor` rule as a control result.
+    def _rule_every_pd_has_membrane(
+        self, obs: AuditObservations
+    ) -> ControlResult:
+        """Paper rule 3: every PD stored in DBFS has a membrane."""
+        # Structurally impossible to violate; probed anyway.
+        missing = [uid for uid, membrane in obs.membranes if membrane is None]
+        return _rule(
+            "rule-every-pd-has-membrane",
+            "Art. 25 (data protection by design)",
+            not missing,
+            f"{len(missing)} bare records" if missing else
+            f"all {len(obs.membranes)} records wrapped",
+            metric="rgpdos.dbfs.records",
+        )
 
-        The technical-rule probes keep living in ``core.compliance``;
-        the audit engine lifts their findings into the article-indexed
-        report with a registry-resolvable metric reference attached.
-        """
-        results: List[ControlResult] = []
-        for finding in self.system.auditor.audit().findings:
-            metric = _FOLDED_RULE_METRICS.get(
-                finding.rule, _FOLDED_DEFAULT_METRIC
+    def _rule_dbfs_ded_only(self, obs: AuditObservations) -> ControlResult:
+        """Paper rule 4, probed negatively: a non-DED credential must
+        be refused on every DBFS entry point."""
+        refused, attempted = obs.outsider_probes
+        return _rule(
+            "rule-dbfs-ded-only",
+            "Art. 32 (security of processing)",
+            refused == attempted,
+            f"{refused}/{attempted} outsider probes refused",
+            metric="rgpdos.dbfs.denied_accesses",
+        )
+
+    def _rule_membranes_wellformed(
+        self, obs: AuditObservations
+    ) -> ControlResult:
+        """Membranes must name a subject and use known consent scopes."""
+        bad: List[str] = []
+        for uid, membrane in obs.membranes:
+            if not membrane.subject_id:
+                bad.append(f"{uid}: no subject")
+                continue
+            pd_type = self.system.dbfs.get_type(membrane.pd_type)
+            for decision in membrane.consents.values():
+                try:
+                    pd_type.scope_fields(decision.scope)
+                except errors.ViewError:
+                    bad.append(f"{uid}: bad scope {decision.scope!r}")
+        return _rule(
+            "rule-membranes-wellformed",
+            "Art. 6/7 (lawfulness & consent)",
+            not bad,
+            "; ".join(bad[:5]) if bad else "all membranes wellformed",
+            metric="rgpdos.dbfs.records",
+        )
+
+    def _rule_copy_membrane_consistency(
+        self, obs: AuditObservations
+    ) -> ControlResult:
+        """All copies in a lineage group share the same consent state."""
+        groups: Dict[str, List[Dict[str, object]]] = {}
+        for _uid, membrane in obs.membranes:
+            if membrane.lineage and not membrane.erased:
+                snapshot = {
+                    purpose: decision.scope
+                    for purpose, decision in membrane.consents.items()
+                }
+                groups.setdefault(membrane.lineage, []).append(snapshot)
+        divergent = [
+            lineage
+            for lineage, snapshots in groups.items()
+            if any(s != snapshots[0] for s in snapshots[1:])
+        ]
+        return _rule(
+            "rule-copy-membrane-consistency",
+            "Art. 7(3) (withdrawal must be effective)",
+            not divergent,
+            f"divergent lineage groups: {divergent[:3]}" if divergent
+            else f"{len(groups)} lineage groups consistent",
+            metric="rgpdos.dbfs.records",
+        )
+
+    def _rule_ttl_respected(self, obs: AuditObservations) -> ControlResult:
+        """No live PD may outlive its TTL."""
+        overdue = obs.ttl_overdue
+        return _rule(
+            "rule-ttl-respected",
+            "Art. 5(1)(e) (storage limitation)",
+            not overdue,
+            f"{len(overdue)} PD past TTL: {overdue[:3]}" if overdue
+            else "no PD past its TTL",
+            metric="rgpdos.audit.ttl_overdue",
+        )
+
+    def _rule_sensitive_fields_separated(
+        self, obs: AuditObservations
+    ) -> ControlResult:
+        """Sensitive fields must live in a separate inode."""
+        dbfs = self.system.dbfs
+        violations: List[str] = []
+        for uid, membrane in obs.membranes:
+            if membrane.erased:
+                continue
+            pd_type = dbfs.get_type(membrane.pd_type)
+            if not pd_type.sensitive_fields:
+                continue
+            record = dbfs._load_record_raw(uid)
+            has_sensitive_values = any(
+                name in record for name in pd_type.sensitive_fields
             )
-            results.append(ControlResult(
-                control_id=f"rule-{finding.rule}",
-                article=finding.article,
-                title=f"Technical rule: {finding.rule}",
-                status=STATUS_PASS if finding.ok else STATUS_FAIL,
-                detail=finding.detail,
-                evidence=[Evidence(
-                    kind="auditor", ref=f"metric:{metric}",
-                    summary=finding.detail, data=finding.ok,
-                )],
-            ))
-        return results
+            if (has_sensitive_values
+                    and "sensitive_inode" not in dbfs.record_inode(uid).attrs):
+                violations.append(uid)
+        return _rule(
+            "rule-sensitive-fields-separated",
+            "Art. 9 (special categories) / § 2 membrane",
+            not violations,
+            f"{len(violations)} records mix sensitivity levels" if violations
+            else "sensitive fields stored separately",
+            metric="rgpdos.dbfs.records",
+        )
+
+    def _rule_all_processing_via_ps(
+        self, obs: AuditObservations
+    ) -> ControlResult:
+        """Paper rules 1–2: every logged processing went through PS."""
+        rogue = obs.rogue_entries
+        return _rule(
+            "rule-all-processing-via-ps",
+            "Art. 30 (records of processing)",
+            not rogue,
+            f"{len(rogue)} log entries bypassed PS" if rogue
+            else f"all {len(self.system.log)} entries via PS",
+            metric="rgpdos.audit.log_entries",
+        )
+
+    def _rule_erased_pd_unreadable(
+        self, obs: AuditObservations
+    ) -> ControlResult:
+        """Erased PD must not be fetchable through any DBFS path."""
+        leaks: List[str] = []
+        for uid, membrane in obs.membranes:
+            if not membrane.erased:
+                continue
+            try:
+                self.system.dbfs.fetch_records(
+                    DataQuery(uids=(uid,)), self._ded)
+                leaks.append(uid)
+            except errors.ExpiredPDError:
+                pass
+        return _rule(
+            "rule-erased-pd-unreadable",
+            "Art. 17 (right to erasure)",
+            not leaks,
+            f"{len(leaks)} erased records still readable" if leaks
+            else "erased PD unreadable",
+            metric="rgpdos.dbfs.deletes",
+        )
 
 
 def resolve_evidence(system: "RgpdOS", ref: str) -> object:

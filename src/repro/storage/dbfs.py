@@ -1181,6 +1181,9 @@ class DatabaseFS:
         self.journal.begin()
         self.journal.log_delete(f"store:{uid}")
         try:
+            # Invisible to every snapshot from before the uid is linked
+            # until stamp_store lands after the commit.
+            self.mvcc.prepare_store(uid)
             subject_inode = self._subject_inode(membrane.subject_id, create=True)
             record_inode = self.inodes.allocate(KIND_RECORD)
             self.inodes.write_payload(
@@ -1236,6 +1239,7 @@ class DatabaseFS:
                 if membrane.lineage:
                     self._lineage_index.setdefault(membrane.lineage, set()).add(uid)
         except BaseException:
+            self.mvcc.withdraw(uid)
             # Inside a batch the enclosing Journal.batch() aborts the
             # whole group; a solo store drops its own transaction.
             if not self.journal.in_batch:
@@ -1435,27 +1439,36 @@ class DatabaseFS:
         # beginning inside this window — must keep resolving the old
         # consent state through the chain, not the live structures.
         self.mvcc.prepare_membrane(uid, old_json)  # type: ignore[arg-type]
-        self.inodes.rewrite_scrubbed(inode_no, encoded.encode())
-        # Write-through invariant: both membrane caches are refreshed
-        # (or dropped) in the same step that rewrites the inode, so a
-        # bounded cache can evict freely without ever serving a stale
-        # consent state.
-        self._membrane_json_cache.put(uid, encoded)
-        if self.cache_config.membrane_object_cache:
-            self._membrane_cache.put(uid, membrane)
-        else:
+        try:
+            self.inodes.rewrite_scrubbed(inode_no, encoded.encode())
+            # Write-through invariant: both membrane caches are refreshed
+            # (or dropped) in the same step that rewrites the inode, so a
+            # bounded cache can evict freely without ever serving a stale
+            # consent state.
+            self._membrane_json_cache.put(uid, encoded)
+            if self.cache_config.membrane_object_cache:
+                self._membrane_cache.put(uid, membrane)
+            else:
+                self._membrane_cache.invalidate(uid)
+            # Keep the record inode's metadata markers in step with the
+            # membrane (put_membrane is the single membrane-persist path).
+            record_no = self._record_index.get(uid)
+            if record_no is not None:
+                record_attrs = self.inodes.get(record_no).attrs
+                record_attrs["lineage"] = membrane.lineage
+                record_attrs["erased"] = membrane.erased
+            if membrane.lineage:
+                with self._index_lock:
+                    self._lineage_index.setdefault(membrane.lineage, set()).add(uid)
+            self._journal_op("membrane_update", uid)
+        except BaseException:
+            # Callers mutate the shared cached Membrane before calling
+            # here, so a failed persist would leave unpersisted consent
+            # live: drop the decoded object (the next load decodes what
+            # the device holds) and the pending MVCC registration.
             self._membrane_cache.invalidate(uid)
-        # Keep the record inode's metadata markers in step with the
-        # membrane (put_membrane is the single membrane-persist path).
-        record_no = self._record_index.get(uid)
-        if record_no is not None:
-            record_attrs = self.inodes.get(record_no).attrs
-            record_attrs["lineage"] = membrane.lineage
-            record_attrs["erased"] = membrane.erased
-        if membrane.lineage:
-            with self._index_lock:
-                self._lineage_index.setdefault(membrane.lineage, set()).add(uid)
-        self._journal_op("membrane_update", uid)
+            self.mvcc.withdraw(uid)
+            raise
         # Chain entry lands after the journal commit: revocation and
         # RTBF become visible to every snapshot begun from here on.
         self.mvcc.stamp_membrane(uid, old_json, encoded)  # type: ignore[arg-type]

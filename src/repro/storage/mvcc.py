@@ -44,7 +44,7 @@ this contract.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 
 class MVCCState:
@@ -66,6 +66,10 @@ class MVCCState:
         #: snapshot beginning inside that window seeds the chain from
         #: here so it never reads the half-published new state.
         self._pending: Dict[str, str] = {}
+        #: uids of in-flight stores (prepare_store() called,
+        #: stamp_store() not yet): already linked into the indexes but
+        #: not committed, so invisible to every snapshot.
+        self._pending_stores: Set[str] = set()
         self.snapshots_taken = 0
         self.chain_entries_recorded = 0
 
@@ -85,10 +89,22 @@ class MVCCState:
             self._version += 1
             return self._version
 
+    def prepare_store(self, uid: str) -> None:
+        """Pre-register a store before the uid is linked anywhere.
+
+        Between linking the uid into the indexes and :meth:`stamp_store`
+        the record has no begin version, which :meth:`visible` would
+        read as "visible to everyone"; the pending mark hides it from
+        every snapshot until the commit is stamped or withdrawn.
+        """
+        with self._lock:
+            self._pending_stores.add(uid)
+
     def stamp_store(self, uid: str) -> int:
         """Commit a store; records the begin version if anyone may care."""
         with self._lock:
             self._version += 1
+            self._pending_stores.discard(uid)
             if self._active:
                 self._begin[uid] = self._version
             return self._version
@@ -137,6 +153,13 @@ class MVCCState:
                 self.chain_entries_recorded += 1
             return self._version
 
+    def withdraw(self, uid: str) -> None:
+        """Drop the pre-registration of a store or membrane publish
+        that aborted before it was stamped."""
+        with self._lock:
+            self._pending_stores.discard(uid)
+            self._pending.pop(uid, None)
+
     # -- snapshots -------------------------------------------------------
 
     def begin_snapshot(self) -> int:
@@ -177,6 +200,8 @@ class MVCCState:
         builds.  The critical section is a single dict probe.
         """
         with self._lock:
+            if uid in self._pending_stores:
+                return False
             begin = self._begin.get(uid)
         return begin is None or begin <= snapshot_version
 
@@ -190,9 +215,11 @@ class MVCCState:
         """
         with self._lock:
             begin = self._begin
+            pending = self._pending_stores
             return [
                 uid for uid in uids
-                if (b := begin.get(uid)) is None or b <= snapshot_version
+                if uid not in pending
+                and ((b := begin.get(uid)) is None or b <= snapshot_version)
             ]
 
     def membrane_json_as_of(self, uid: str,

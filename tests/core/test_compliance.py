@@ -1,4 +1,4 @@
-"""Unit tests for the compliance auditor."""
+"""Unit tests for the audit's § 2 technical rules (``rule-*`` controls)."""
 
 import pytest
 
@@ -41,8 +41,8 @@ class TestViolationDetection:
         system.advance_time(2 * 365 * 86400.0)  # past TTL, no sweep run
         report = system.audit()
         assert not report.ok
-        (failure,) = report.failures()
-        assert failure.rule == "ttl-respected"
+        failed = {c.control_id for c in report.failures()}
+        assert failed == {"art5e-retention", "rule-ttl-respected"}
 
     def test_ttl_sweep_restores_compliance(self, populated):
         system, _, _ = populated
@@ -60,8 +60,8 @@ class TestViolationDetection:
         membrane.grant("purpose2", SCOPE_ALL, at=1.0)
         system.dbfs.put_membrane(copy_ref.uid, membrane, builtins.credential)
         report = system.audit()
-        failures = [f.rule for f in report.failures()]
-        assert "copy-membrane-consistency" in failures
+        failures = [c.control_id for c in report.failures()]
+        assert "rule-copy-membrane-consistency" in failures
 
     def test_rogue_log_entry_detected(self, populated):
         system, _, _ = populated
@@ -70,13 +70,35 @@ class TestViolationDetection:
             outcome="completed", via_ps=False,
         )
         report = system.audit()
-        failures = [f.rule for f in report.failures()]
-        assert "all-processing-via-ps" in failures
+        failures = [c.control_id for c in report.failures()]
+        assert "rule-all-processing-via-ps" in failures
 
     def test_outsider_probes_always_run(self, system):
         report = system.audit()
-        finding = next(
-            f for f in report.findings if f.rule == "dbfs-ded-only"
+        control = next(
+            c for c in report.controls if c.control_id == "rule-dbfs-ded-only"
         )
-        assert finding.ok
-        assert "refused" in finding.detail
+        assert control.status == "pass"
+        assert "refused" in control.detail
+
+
+class TestObserveOnce:
+    def test_one_membrane_pass_and_one_probe_set(self, populated, monkeypatch):
+        """Every control reads the run's shared observations: one
+        membrane pass, and the four outsider probes run exactly once."""
+        system, _, _ = populated
+        dbfs = system.dbfs
+        passes = []
+        iter_membranes = dbfs.iter_membranes
+
+        def counting(*args, **kwargs):
+            passes.append(args)
+            return iter_membranes(*args, **kwargs)
+
+        monkeypatch.setattr(dbfs, "iter_membranes", counting)
+        denied_before = dbfs.stats.denied_accesses
+        report = system.audit()
+        assert report.ok
+        assert len(report.controls) == 14
+        assert len(passes) == 1
+        assert dbfs.stats.denied_accesses - denied_before == 4

@@ -6,8 +6,8 @@ system must agree with it *at the exact deadline instant*:
 
 * the membrane predicates themselves,
 * the TTL watcher monitor,
-* the article-indexed audit engine's overdue scan,
-* the compliance auditor's grace-shifted check,
+* the article-indexed audit's overdue scan and its ``rule-ttl-respected``
+  control,
 * transfer export (refuses overdue PD) and import (skips a package
   whose TTL ran out in transit, instead of crashing on a zero TTL).
 
@@ -23,7 +23,6 @@ import time
 
 import pytest
 
-from repro.core.compliance import ComplianceAuditor
 from repro.core.membrane import Membrane
 from repro.core.transfer import export_package, import_package
 from repro.obs.monitors import ExpiryDaemon, TTLWatcherMonitor
@@ -81,39 +80,22 @@ class TestAuditEngineBoundary:
     def test_ttl_overdue_at_exact_deadline(self, populated):
         system, _, _ = populated
         system.advance_time(YEAR - 1.0)
-        assert system.audit_engine._ttl_overdue() == []
+        assert system.audit_engine.observe().ttl_overdue == []
         system.advance_time(1.0)
-        assert len(system.audit_engine._ttl_overdue()) == 2
+        assert len(system.audit_engine.observe().ttl_overdue) == 2
 
 
 class TestComplianceGraceBoundary:
-    def ttl_finding(self, auditor):
-        report = auditor.audit()
-        (finding,) = [f for f in report.findings if f.rule == "ttl-respected"]
-        return finding
-
     def test_zero_grace_matches_canonical_boundary(self, populated):
+        """``rule-ttl-respected`` flips on the canonical inclusive
+        boundary, with no grace window."""
         system, _, _ = populated
-        system.advance_time(YEAR)
-        assert not self.ttl_finding(system.auditor).ok
-
-    def test_grace_window_shifts_not_redefines(self, populated):
-        """With grace g, the check flips at deadline + g — still on the
-        inclusive boundary, just translated."""
-        system, _, _ = populated
-        lenient = ComplianceAuditor(
-            system.dbfs,
-            system.ps.builtins,
-            system.log,
-            system.clock,
-            ttl_grace_seconds=3600.0,
-        )
-        system.advance_time(YEAR)  # exactly at deadline: inside grace
-        assert self.ttl_finding(lenient).ok
-        system.advance_time(3599.0)
-        assert self.ttl_finding(lenient).ok
-        system.advance_time(1.0)  # deadline + grace, inclusive
-        assert not self.ttl_finding(lenient).ok
+        system.advance_time(YEAR - 1.0)
+        by_id = {c.control_id: c for c in system.audit().controls}
+        assert by_id["rule-ttl-respected"].status == "pass"
+        system.advance_time(1.0)
+        by_id = {c.control_id: c for c in system.audit().controls}
+        assert by_id["rule-ttl-respected"].status == "fail"
 
 
 class TestTransferBoundary:
@@ -164,10 +146,10 @@ class TestFrozenClock:
         )
         first = watcher.tick(system.clock.now())
         assert first["overdue"] == 0
-        before = system.audit_engine._ttl_overdue()
+        before = system.audit_engine.observe().ttl_overdue
         for _ in range(5):  # clock frozen: nothing may flip
             assert watcher.tick(system.clock.now()) is None  # unchanged
-            assert system.audit_engine._ttl_overdue() == before
+            assert system.audit_engine.observe().ttl_overdue == before
 
     def test_daemon_idle_while_paused(self, populated):
         system, _, _ = populated
@@ -205,4 +187,4 @@ class TestFrozenClock:
             system.dbfs, system.clock, system.telemetry
         )
         assert watcher.tick(system.clock.now())["overdue"] == 2
-        assert len(system.audit_engine._ttl_overdue()) == 2
+        assert len(system.audit_engine.observe().ttl_overdue) == 2

@@ -109,7 +109,8 @@ class TestRgpdOSForgets:
         system.rights.erase("victim")
         report = system.audit()
         assert report.ok
-        finding = next(
-            f for f in report.findings if f.rule == "erased-pd-unreadable"
+        control = next(
+            c for c in report.controls
+            if c.control_id == "rule-erased-pd-unreadable"
         )
-        assert finding.ok
+        assert control.status == "pass"

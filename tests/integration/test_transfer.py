@@ -136,6 +136,18 @@ class TestMembraneRebuild:
         self.imported_membrane(source, destination)
         assert destination.audit().ok
 
+    def test_import_is_an_art30_record(self, source, destination):
+        """The import is the destination's collection of the PD: it
+        must land in the subject's record of processing."""
+        system, _, _ = source
+        outcome = import_package(destination, export_package(system, "alice"))
+        (ref,) = outcome.imported
+        (entry,) = destination.log.for_subject("alice")
+        assert entry.processing == "transfer:import"
+        assert [a.uid for a in entry.accesses] == [ref.uid]
+        by_id = {c.control_id: c for c in destination.audit().controls}
+        assert by_id["art30-records"].status == "pass"
+
     def test_imported_pd_fully_functional(self, source, destination):
         """The imported record works with the destination's rights."""
         system, _, _ = source

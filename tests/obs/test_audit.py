@@ -50,7 +50,7 @@ class TestReportShape:
     def test_compliant_system_passes(self, populated):
         system, _, _ = populated
         exercise(system)
-        report = system.audit_report()
+        report = system.audit()
         assert report.ok
         assert "COMPLIANT" in report.summary()
         by_id = {c.control_id: c for c in report.controls}
@@ -60,16 +60,16 @@ class TestReportShape:
                            "art33-breach", "art30-records"):
             assert control_id in by_id
             assert by_id[control_id].status != STATUS_FAIL
-        # ...plus the eight folded ComplianceAuditor rules.
-        folded = [c for c in report.controls
-                  if c.control_id.startswith("rule-")]
-        assert len(folded) == len(system.auditor.audit().findings)
-        assert all(c.status == STATUS_PASS for c in folded)
+        # ...plus the eight § 2 technical rules.
+        rules = [c for c in report.controls
+                 if c.control_id.startswith("rule-")]
+        assert len(rules) == 8
+        assert all(c.status == STATUS_PASS for c in rules)
 
     def test_every_control_carries_evidence(self, populated):
         system, _, _ = populated
         exercise(system)
-        report = system.audit_report()
+        report = system.audit()
         for control in report.controls:
             assert control.evidence, f"{control.control_id} has no evidence"
 
@@ -78,7 +78,7 @@ class TestReportShape:
         against the live system (processing log, registry, membranes)."""
         system, _, _ = populated
         exercise(system)
-        report = system.audit_report()
+        report = system.audit()
         for control in report.controls:
             for item in control.evidence:
                 resolved = resolve_evidence(system, item.ref)
@@ -95,7 +95,7 @@ class TestReportShape:
     def test_run_seals_trail_entry_and_head(self, populated):
         system, _, _ = populated
         before = len(system.evidence)
-        report = system.audit_report()
+        report = system.audit()
         assert len(system.evidence) == before + 1
         assert report.evidence_head == system.evidence.head
         sealed = system.evidence.entries()[-1]
@@ -105,7 +105,7 @@ class TestReportShape:
 
     def test_verdict_gauges_published(self, populated):
         system, _, _ = populated
-        report = system.audit_report()
+        report = system.audit()
         counts = report.counts()
         registry = system.telemetry.registry
         assert registry.gauge_value("rgpdos.audit.controls_pass") == \
@@ -118,7 +118,7 @@ class TestReportShape:
     def test_json_rendering(self, populated):
         system, _, _ = populated
         exercise(system)
-        report = system.audit_report()
+        report = system.audit()
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["compliant"] is True
         assert payload["counts"]["fail"] == 0
@@ -128,7 +128,7 @@ class TestReportShape:
     def test_markdown_rendering_groups_by_article(self, populated):
         system, _, _ = populated
         exercise(system)
-        text = system.audit_report().to_markdown()
+        text = system.audit().to_markdown()
         assert text.startswith("# GDPR compliance audit")
         for heading in ("## Art. 6", "## Art. 30", "## Art. 32",
                         "## Art. 33", "## Art. 5(1)(c)", "## Art. 5(1)(e)"):
@@ -138,7 +138,7 @@ class TestReportShape:
     def test_last_report_cached(self, populated):
         system, _, _ = populated
         assert system.audit_engine.last_report is None
-        report = system.audit_report()
+        report = system.audit()
         assert system.audit_engine.last_report is report
         assert system.stats()["audit"]["last_report"] == report.summary()
 
@@ -147,7 +147,7 @@ class TestFailures:
     def test_ttl_overdue_fails_retention(self, populated):
         system, _, _ = populated
         system.advance_time(400 * 86400)  # 1Y TTL long gone
-        report = system.audit_report()
+        report = system.audit()
         assert not report.ok
         by_id = {c.control_id: c for c in report.controls}
         retention = by_id["art5e-retention"]
@@ -161,7 +161,7 @@ class TestFailures:
         system, _, _ = populated
         trigger_notifiable_breach(system)
         system.advance_time(73 * 3600)
-        report = system.audit_report()
+        report = system.audit()
         by_id = {c.control_id: c for c in report.controls}
         assert by_id["art33-breach"].status == STATUS_FAIL
         assert any(e.ref.startswith("breach:")
@@ -172,7 +172,7 @@ class TestFailures:
         system, _, _ = populated
         trigger_notifiable_breach(system)
         system.advance_time(3600)
-        report = system.audit_report()
+        report = system.audit()
         by_id = {c.control_id: c for c in report.controls}
         assert by_id["art33-breach"].status == STATUS_WARN
         countdown = resolve_evidence(
@@ -184,7 +184,7 @@ class TestFailures:
         report = trigger_notifiable_breach(system)
         system.breach_monitor.mark_notified(report)
         system.advance_time(100 * 3600)  # deadline long past — but notified
-        audit = system.audit_report()
+        audit = system.audit()
         by_id = {c.control_id: c for c in audit.controls}
         assert by_id["art33-breach"].status == STATUS_PASS
 
@@ -192,7 +192,7 @@ class TestFailures:
         system, _, _ = populated
         report = AuditEngine(system).run()
         assert {c.control_id for c in report.controls} == \
-            {c.control_id for c in system.audit_report().controls}
+            {c.control_id for c in system.audit().controls}
 
 
 class TestLawfulBasisAndRecords:
@@ -201,7 +201,7 @@ class TestLawfulBasisAndRecords:
         exercise(system)  # purpose3 completes under consent
         system.rights.object_to("alice", "purpose3")
         system.rights.object_to("bob", "purpose3")
-        report = system.audit_report()
+        report = system.audit()
         by_id = {c.control_id: c for c in report.controls}
         assert by_id["art6-lawful-basis"].status == STATUS_WARN
         assert "purpose3" in by_id["art6-lawful-basis"].detail
@@ -212,7 +212,7 @@ class TestLawfulBasisAndRecords:
             at=system.clock.now(), purpose="smuggled",
             processing="direct-call", outcome="completed", via_ps=False,
         )
-        report = system.audit_report()
+        report = system.audit()
         by_id = {c.control_id: c for c in report.controls}
         assert by_id["art30-records"].status == STATUS_FAIL
         assert "bypassed the PS" in by_id["art30-records"].detail
@@ -220,7 +220,7 @@ class TestLawfulBasisAndRecords:
     def test_log_evidence_cites_real_entries(self, populated):
         system, _, _ = populated
         exercise(system)
-        report = system.audit_report()
+        report = system.audit()
         by_id = {c.control_id: c for c in report.controls}
         refs = [e.ref for c in ("art6-lawful-basis", "art30-records")
                 for e in by_id[c].evidence if e.ref.startswith("log:entry:")]

@@ -171,7 +171,7 @@ class TestEvidence:
         daemon = make_daemon(small_system)
         small_system.advance_time(YEAR)
         daemon.run_until_drained()
-        report = small_system.audit_report()
+        report = small_system.audit()
         (control,) = [
             c for c in report.controls if c.control_id == "art5e-retention"
         ]
@@ -192,7 +192,7 @@ class TestEvidence:
         """Overdue PD and no daemon: the control must go red — traffic
         not touching expired records is not compliance."""
         small_system.advance_time(YEAR)
-        report = small_system.audit_report()
+        report = small_system.audit()
         (control,) = [
             c for c in report.controls if c.control_id == "art5e-retention"
         ]
@@ -299,7 +299,7 @@ class TestSystemWiring:
             small_system.advance_time(YEAR)
             small_system.monitors.tick_all()
             small_system.expiry_daemon.drain()
-            report = small_system.audit_report()
+            report = small_system.audit()
             (control,) = [
                 c for c in report.controls
                 if c.control_id == "art5e-retention"

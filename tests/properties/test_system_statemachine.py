@@ -205,7 +205,9 @@ class RgpdOSMachine(RuleBasedStateMachine):
     def lineage_groups_consistent(self):
         if not hasattr(self, "system"):
             return
-        assert self.system.auditor._check_copy_consistency().ok
+        engine = self.system.audit_engine
+        rule = engine._rule_copy_membrane_consistency(engine.observe())
+        assert rule.status == "pass", rule.detail
 
     @invariant()
     def audit_holds_when_sweep_current(self):

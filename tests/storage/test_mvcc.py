@@ -138,6 +138,35 @@ class TestMVCCState:
         state.stamp_membrane("pd:x:1", '{"v": "old"}', '{"v": "new"}')
         assert state.as_dict()["membrane_chains"] == 0
 
+    def test_pending_store_invisible_until_stamped(self):
+        # store() links the uid into the indexes before its commit is
+        # stamped; in that window no snapshot may see it.
+        state = MVCCState()
+        version = state.begin_snapshot()
+        state.prepare_store("pd:x:1")
+        assert not state.visible("pd:x:1", version)
+        assert state.visible_many(["pd:x:1", "pd:old:1"], version) == [
+            "pd:old:1"
+        ]
+        state.stamp_store("pd:x:1")
+        assert not state.visible("pd:x:1", version)
+        later = state.begin_snapshot()
+        assert state.visible("pd:x:1", later)
+        state.release_snapshot(version)
+        state.release_snapshot(later)
+
+    def test_withdraw_drops_pending_registrations(self):
+        state = MVCCState()
+        version = state.begin_snapshot()
+        state.prepare_store("pd:x:1")
+        state.prepare_membrane("pd:y:1", '{"v": "old"}')
+        state.withdraw("pd:x:1")
+        state.withdraw("pd:y:1")
+        assert state.visible("pd:x:1", version)
+        assert state._pending_stores == set()
+        assert state._pending == {}
+        state.release_snapshot(version)
+
     def test_release_of_last_snapshot_prunes_everything(self):
         state = MVCCState()
         version = state.begin_snapshot()
@@ -232,6 +261,78 @@ class TestDBFSSnapshots:
         stats = dbfs.mvcc_stats()
         assert stats["active_snapshots"] == 0
         assert stats["snapshots_taken"] >= 2
+
+
+class TestCommitWindows:
+    """A store or membrane publish is either committed and stamped,
+    or leaves nothing a reader can observe."""
+
+    @pytest.mark.parametrize("shard_count", [1, 3])
+    def test_store_inside_commit_window_is_invisible(
+        self, shard_count, monkeypatch
+    ):
+        authority = Authority(bits=512, seed=41)
+        key = authority.issue_operator_key("window-op")
+        fs = (
+            DatabaseFS(operator_key=key) if shard_count == 1
+            else ShardedDBFS(shard_count=shard_count, operator_key=key)
+        )
+        fs.create_type(make_type(), DED)
+        store(fs, "before")
+
+        def rows(snapshot):
+            uids = fs.select_uids(
+                "user", Predicate("year", "eq", 1815), DED, snapshot=snapshot
+            )
+            pairs = fs.query_membranes(
+                MembraneQuery("user"), DED, snapshot=snapshot
+            )
+            return len(uids), len(pairs)
+
+        with fs.begin_snapshot() as snapshot:
+            in_window = []
+            for shard in fs.shards:
+                def hooked(*args, _commit=shard.journal.commit, **kwargs):
+                    # The new uid is already linked into the indexes.
+                    in_window.append(rows(snapshot))
+                    return _commit(*args, **kwargs)
+
+                monkeypatch.setattr(shard.journal, "commit", hooked)
+            store(fs, "during")
+            assert in_window == [(1, 1)]
+            assert rows(snapshot) == (1, 1)
+        assert rows(None) == (2, 2)
+
+    def test_aborted_store_withdraws_its_registration(
+        self, dbfs, monkeypatch
+    ):
+        def failing(*args, **kwargs):
+            raise errors.TransientIOError("injected")
+
+        monkeypatch.setattr(dbfs.inodes, "write_payload", failing)
+        with pytest.raises(errors.TransientIOError):
+            store(dbfs, "alice")
+        assert dbfs.mvcc._pending_stores == set()
+
+    def test_failed_put_membrane_leaves_no_unpersisted_consent(
+        self, dbfs, monkeypatch
+    ):
+        ref = store(dbfs, "alice")
+        # Callers mutate the shared cached object, then persist it.
+        membrane = dbfs.get_membrane(ref.uid, DED)
+        membrane.grant("marketing", "all", at=1.0)
+
+        def failing(*args, **kwargs):
+            raise errors.TransientIOError("injected")
+
+        monkeypatch.setattr(dbfs.inodes, "rewrite_scrubbed", failing)
+        with pytest.raises(errors.TransientIOError):
+            dbfs.put_membrane(ref.uid, membrane, DED)
+        assert dbfs.get_membrane(ref.uid, DED).permits("marketing") is None
+        assert ref.uid not in dbfs.mvcc._pending
+        with dbfs.begin_snapshot() as snapshot:
+            live = dbfs.get_membrane(ref.uid, DED, snapshot=snapshot)
+            assert live.permits("marketing") is None
 
 
 class TestFleetSnapshots:

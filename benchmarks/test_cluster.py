@@ -83,7 +83,6 @@ def build_system(authority, io_scale=0.0, blocks=4096):
         cache_config=CacheConfig(
             page_cache_blocks=16,
             record_cache_records=0,
-            membrane_object_cache=False,
         ),
     )
     system.install(STANDARD_DECLARATIONS)

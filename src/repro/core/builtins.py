@@ -203,6 +203,7 @@ class BuiltinFunctions:
 
         # Establish the lineage group on first copy.
         if not membrane.lineage:
+            membrane = membrane.copy()
             membrane.lineage = target.uid
             self.dbfs.put_membrane(target.uid, membrane, self.credential)
 
@@ -269,7 +270,9 @@ class BuiltinFunctions:
         The whole get-mutate-put sequence (for the full lineage group,
         which is shard-affine) runs under the owning shard's writer
         lock, so two concurrent consent changes to the same lineage
-        serialize instead of losing one side's update.
+        serialize instead of losing one side's update.  ``mutate``
+        works on a private copy: readers keep seeing the published
+        membrane until ``put_membrane`` commits the change.
         """
         updated = []
         with self.dbfs.write_lock(uid):
@@ -277,6 +280,7 @@ class BuiltinFunctions:
                 membrane = self.dbfs.get_membrane(member_uid, self.credential)
                 if membrane.erased:
                     continue
+                membrane = membrane.copy()
                 mutate(membrane)
                 self.dbfs.put_membrane(member_uid, membrane, self.credential)
                 updated.append(member_uid)

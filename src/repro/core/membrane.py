@@ -22,7 +22,7 @@ copy; the consent-update path fans changes out to the group.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional
 
 from .. import errors
@@ -91,6 +91,11 @@ class Membrane:
     simply never looked up again, and revocation takes effect on the
     very next invocation.  Any new mutating method MUST keep bumping
     ``version``.
+
+    **Published membranes are read-only.**  A membrane handed out by
+    DBFS (``get_membrane``, ``query_membranes``, a snapshot read) is
+    the value every other reader of that uid shares.  Writers mutate a
+    :meth:`copy` and publish it with ``put_membrane``.
     """
 
     pd_type: str
@@ -233,6 +238,17 @@ class Membrane:
         self.erased_at = at
         self.version += 1
 
+    def copy(self, **changes: object) -> "Membrane":
+        """A private copy (plus ``changes``) to mutate, then publish.
+        Consent decisions and history events are frozen: shallow is enough."""
+        return replace(
+            self,
+            consents=dict(self.consents),
+            collection=dict(self.collection),
+            history=list(self.history),
+            **changes,
+        )
+
     # -- serialization --------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -330,9 +346,7 @@ class Membrane:
         The built-in ``copy`` uses this to guarantee "membrane
         consistency across all copies of the same PD".
         """
-        clone = Membrane.from_dict(self.to_dict())
-        clone.created_at = at
-        return clone
+        return self.copy(created_at=at)
 
 
 def membrane_for_type(

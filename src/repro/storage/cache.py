@@ -24,8 +24,8 @@ Three pieces live here:
   builds on (capacity 0 disables it, turning every lookup into a miss);
 * :class:`CacheConfig` — the knobs, threaded from :class:`repro.RgpdOS`
   down to the block device, DBFS and the DED.  ``CacheConfig.disabled()``
-  restores the un-cached seed behaviour, which the FASTPATH benchmark
-  uses as its baseline.
+  turns every cache off, which the FASTPATH benchmark uses as its
+  baseline.
 """
 
 from __future__ import annotations
@@ -165,14 +165,11 @@ class CacheConfig:
     ``record_cache_records``      DBFS decoded-record cache capacity
                                   (records); 0 disables
     ``listing_cache``             cache the sorted per-table uid listing
-    ``membrane_object_cache``     cache decoded :class:`Membrane` objects
-                                  (the JSON text cache predates this and
-                                  is always on)
-    ``membrane_cache_entries``    LRU bound shared by the membrane JSON
-                                  and decoded-object caches (entries per
-                                  cache); both write through on
+    ``membrane_cache_entries``    DBFS decoded-membrane cache capacity
+                                  (membranes); writes through on
                                   ``put_membrane`` so eviction only ever
-                                  costs a re-read, never staleness
+                                  costs a re-read, never staleness;
+                                  0 disables
     ``decision_cache_entries``    DED membrane-decision cache capacity
                                   ((uid, purpose, version) entries);
                                   0 disables
@@ -186,24 +183,18 @@ class CacheConfig:
     page_cache_blocks: int = 1024
     record_cache_records: int = 4096
     listing_cache: bool = True
-    membrane_object_cache: bool = True
     membrane_cache_entries: int = 8192
     decision_cache_entries: int = 8192
 
     @classmethod
     def disabled(cls) -> "CacheConfig":
-        """The caches-off configuration (seed behaviour, FASTPATH baseline).
-
-        ``membrane_cache_entries`` keeps its default: the membrane JSON
-        cache is part of seed behaviour ("always on"), so the baseline
-        bounds it rather than switching it off; the decoded-object
-        cache stays gated by ``membrane_object_cache=False``.
-        """
+        """The caches-off configuration (FASTPATH baseline): every
+        cache is off, so each read goes to the device and decodes."""
         return cls(
             page_cache_blocks=0,
             record_cache_records=0,
             listing_cache=False,
-            membrane_object_cache=False,
+            membrane_cache_entries=0,
             decision_cache_entries=0,
         )
 

@@ -76,7 +76,6 @@ from .btree import (
     DEFAULT_PAGE_CAPACITY,
     BloomFilter,
     DurableFieldIndex,
-    FieldIndex,
     bloom_key,
 )
 from .cache import MISSING, CacheConfig, DEFAULT_CACHE_CONFIG, LRUCache
@@ -346,11 +345,8 @@ class DatabaseFS:
         # Compiled v2 row codecs, one per live format descriptor (None
         # for v1 tables).  Lives and dies with _format_cache.
         self._codec_cache: Dict[str, Optional[RecordCodec]] = {}
-        # Secondary field indexes: (type, field) -> index.  Values are
-        # DurableFieldIndex (on-device pages) for dbfs-owned indexes;
-        # the in-memory FieldIndex shares the same interface and still
-        # backs direct embedders.
-        self._field_indexes: Dict[Tuple[str, str], object] = {}
+        # Secondary field indexes: (type, field) -> on-device index.
+        self._field_indexes: Dict[Tuple[str, str], DurableFieldIndex] = {}
         # Per-table subject/uid bloom filters ("S:<subject>" and
         # "U:<uid>" keys): definite-absent answers for negative lookups
         # without touching membranes.  Rebuilt from the trees on
@@ -365,15 +361,6 @@ class DatabaseFS:
         # built-in copy/consent-propagation path O(group) instead of a
         # full membrane scan; rebuilt from membranes on remount.
         self._lineage_index: Dict[str, set] = {}
-        # Membrane JSON cache: avoids re-reading the membrane inode's
-        # blocks on every decision.  Invariant: the cache always holds
-        # exactly what the inode holds (put_membrane writes both).
-        # LRU-bounded: eviction is safe because _load_membrane re-reads
-        # the inode on a miss.
-        self._membrane_json_cache = LRUCache(
-            self.cache_config.membrane_cache_entries,
-            name="membrane-json-cache",
-        )
         # Decoded-record cache (uid -> merged public+sensitive dict).
         # Values are copied on both insert and return: callers mutate
         # the dict they get back (update() does), and a cache handing
@@ -387,15 +374,16 @@ class DatabaseFS:
         # _select_scan/_candidate_uids stop re-sorting table.children
         # on every query.  Invalidated on store/delete of that type.
         self._listing_cache: Dict[str, List[str]] = {}
-        # Decoded Membrane objects (uid -> Membrane), sharing one
-        # object per uid instead of re-running Membrane.from_json per
-        # decision.  Safe because every mutation site follows the
-        # get -> mutate -> put_membrane discipline and put_membrane
-        # refreshes this cache alongside the JSON cache.  Shares the
-        # membrane_cache_entries bound with the JSON cache above.
+        # Membrane cache (uid -> Membrane): every decision reads the
+        # membrane, so each inode is decoded once, not per decision.
+        # Invariant: an entry is exactly what the inode holds (store,
+        # _load_membrane and put_membrane insert it).  Entries are
+        # published, read-only values shared by every reader; writers
+        # publish a copy() through put_membrane.  LRU-bounded: eviction
+        # is safe because _load_membrane re-reads the inode on a miss.
         self._membrane_cache = LRUCache(
             self.cache_config.membrane_cache_entries,
-            name="membrane-object-cache",
+            name="membrane-cache",
         )
 
     # ------------------------------------------------------------------
@@ -752,7 +740,7 @@ class DatabaseFS:
             return uids
 
     def _select_indexed(
-        self, index: FieldIndex, predicate: Predicate
+        self, index: DurableFieldIndex, predicate: Predicate
     ) -> List[str]:
         # The whole B-tree traversal runs under the index lock: a
         # writer splitting a node mid-range-walk would corrupt the
@@ -1226,9 +1214,7 @@ class DatabaseFS:
 
                 self._record_index[uid] = record_inode.number
                 self._membrane_index[uid] = membrane_inode.number
-                self._membrane_json_cache.put(uid, membrane.to_json())
-                if self.cache_config.membrane_object_cache:
-                    self._membrane_cache.put(uid, membrane)
+                self._membrane_cache.put(uid, membrane)
                 self._record_cache.put(uid, dict(request.record))
                 self._listing_cache.pop(pd_type.name, None)
                 self._index_record(pd_type.name, uid, request.record)
@@ -1377,6 +1363,8 @@ class DatabaseFS:
         credential: AccessCredential,
         snapshot: Optional[Snapshot] = None,
     ) -> Membrane:
+        """The published membrane (read-only: other readers share it;
+        to change it, ``put_membrane`` a mutated ``copy()``)."""
         self._require_ded(credential, "get_membrane")
         return self._load_membrane(uid, snapshot)
 
@@ -1389,67 +1377,63 @@ class DatabaseFS:
         self, uid: str, snapshot: Optional[Snapshot] = None
     ) -> Membrane:
         if snapshot is not None:
-            # A chained membrane changed after the snapshot began —
-            # decode the as-of JSON fresh (never the shared cached
-            # object, which tracks the live state).  No chain means
-            # the live state *is* the as-of state.
-            as_of = self.mvcc.membrane_json_as_of(uid, snapshot.version)
+            # A chained membrane changed after the snapshot began: the
+            # chain holds the published membrane as of the snapshot.
+            # No chain means the live state *is* the as-of state.
+            as_of = self.mvcc.membrane_as_of(uid, snapshot.version)
             if as_of is not None:
-                return Membrane.from_json(as_of)
-        if self.cache_config.membrane_object_cache:
-            decoded = self._membrane_cache.get(uid)
-            if decoded is not MISSING:
-                self.stats.membrane_cache_hits += 1
-                return decoded  # type: ignore[return-value]
-        cached = self._membrane_json_cache.get(uid)
+                return as_of  # type: ignore[return-value]
+        cached = self._membrane_cache.get(uid)
         if cached is not MISSING:
-            membrane = Membrane.from_json(cached)  # type: ignore[arg-type]
-        else:
-            inode_no = self._membrane_index.get(uid)
-            if inode_no is None:
-                raise errors.UnknownRecordError(f"no PD with uid {uid!r}")
-            raw = self.inodes.read_payload(inode_no).decode()
-            self._membrane_json_cache.put(uid, raw)
-            membrane = Membrane.from_json(raw)
-        if self.cache_config.membrane_object_cache:
-            self.stats.membrane_cache_misses += 1
-            self._membrane_cache.put(uid, membrane)
+            self.stats.membrane_cache_hits += 1
+            return cached  # type: ignore[return-value]
+        inode_no = self._membrane_index.get(uid)
+        if inode_no is None:
+            raise errors.UnknownRecordError(f"no PD with uid {uid!r}")
+        membrane = Membrane.from_json(self.inodes.read_payload(inode_no).decode())
+        self.stats.membrane_cache_misses += 1
+        self._membrane_cache.put(uid, membrane)
         return membrane
 
     @_locked_writer
     def put_membrane(
         self, uid: str, membrane: Membrane, credential: AccessCredential
     ) -> None:
-        """Persist a membrane change (consent grant/revoke, erasure flag)."""
+        """Persist a membrane change (consent grant/revoke, erasure flag).
+
+        ``membrane`` must be a private ``copy()``: the published object
+        is rejected, since readers would have seen its change early.
+        """
         self._require_ded(credential, "put_membrane")
         inode_no = self._membrane_index.get(uid)
         if inode_no is None:
             raise errors.UnknownRecordError(f"no PD with uid {uid!r}")
-        encoded = membrane.to_json()
         # Capture the pre-mutation state for MVCC: a snapshot that
-        # began before this commit keeps reading the old consent JSON
-        # through the membrane chain.  The JSON cache is write-through
-        # with the inode, so a cache hit is authoritative.
-        old_json = self._membrane_json_cache.peek(uid)
-        if old_json is MISSING:
-            old_json = self.inodes.read_payload(inode_no).decode()
+        # began before this commit keeps reading the old membrane
+        # through the chain.  The cache is write-through with the
+        # inode, so a cache hit is authoritative.
+        old = self._membrane_cache.peek(uid)
+        if old is membrane:
+            self._membrane_cache.invalidate(uid)  # back to the device state
+            raise errors.DBFSError(
+                f"put_membrane({uid!r}) was handed the published membrane; "
+                "mutate and publish membrane.copy() instead"
+            )
+        if old is MISSING:
+            old = Membrane.from_json(self.inodes.read_payload(inode_no).decode())
+        encoded = membrane.to_json()
         # Pre-register the publish: from here until stamp_membrane
-        # commits, the new JSON is (or is about to be) live in the
-        # inode and caches, and any snapshot — already active or
+        # commits, the new membrane is (or is about to be) live in the
+        # inode and the cache, and any snapshot — already active or
         # beginning inside this window — must keep resolving the old
         # consent state through the chain, not the live structures.
-        self.mvcc.prepare_membrane(uid, old_json)  # type: ignore[arg-type]
+        self.mvcc.prepare_membrane(uid, old)
         try:
             self.inodes.rewrite_scrubbed(inode_no, encoded.encode())
-            # Write-through invariant: both membrane caches are refreshed
-            # (or dropped) in the same step that rewrites the inode, so a
-            # bounded cache can evict freely without ever serving a stale
-            # consent state.
-            self._membrane_json_cache.put(uid, encoded)
-            if self.cache_config.membrane_object_cache:
-                self._membrane_cache.put(uid, membrane)
-            else:
-                self._membrane_cache.invalidate(uid)
+            # Write-through invariant: the cache is refreshed in the
+            # same step that rewrites the inode, so a bounded cache can
+            # evict freely without ever serving a stale consent state.
+            self._membrane_cache.put(uid, membrane)
             # Keep the record inode's metadata markers in step with the
             # membrane (put_membrane is the single membrane-persist path).
             record_no = self._record_index.get(uid)
@@ -1462,16 +1446,15 @@ class DatabaseFS:
                     self._lineage_index.setdefault(membrane.lineage, set()).add(uid)
             self._journal_op("membrane_update", uid)
         except BaseException:
-            # Callers mutate the shared cached Membrane before calling
-            # here, so a failed persist would leave unpersisted consent
-            # live: drop the decoded object (the next load decodes what
-            # the device holds) and the pending MVCC registration.
+            # The cache may already hold the new membrane: drop it (the
+            # next load decodes what the device holds) and the pending
+            # MVCC registration, so no unpersisted consent stays live.
             self._membrane_cache.invalidate(uid)
             self.mvcc.withdraw(uid)
             raise
         # Chain entry lands after the journal commit: revocation and
         # RTBF become visible to every snapshot begun from here on.
-        self.mvcc.stamp_membrane(uid, old_json, encoded)  # type: ignore[arg-type]
+        self.mvcc.stamp_membrane(uid, old, membrane)
         # An erasure drops the deadline (nothing left to expire); any
         # other membrane change re-publishes the (possibly evolved)
         # one.  put_membrane is the single membrane-persist path, so
@@ -1705,8 +1688,21 @@ class DatabaseFS:
             # never the pre-update one.
             self._record_cache.put(request.uid, dict(record))
         except BaseException:
-            if not self.journal.in_batch:
-                self.journal.abort()
+            # The index writes ran first, so the uid's entries may be
+            # ahead of (or half-way to) the row.  Like recovery of an
+            # uncommitted update intent, re-derive them from the row
+            # that survived (the old one if even the re-read fails).
+            try:
+                self._record_cache.invalidate(request.uid)
+                try:
+                    survivor = self._load_record_raw(request.uid)
+                except errors.StorageError:
+                    survivor = old_record
+                self._unindex_uid(request.uid)
+                self._index_record(pd_type.name, request.uid, survivor)
+            finally:
+                if not self.journal.in_batch:
+                    self.journal.abort()
             raise
         self.stats.updates += 1
         self.journal.commit()
@@ -1863,6 +1859,7 @@ class DatabaseFS:
         with self._index_lock:
             self._listing_cache.pop(membrane.pd_type, None)
         if not membrane.erased:
+            membrane = membrane.copy()
             membrane.mark_erased(at=membrane.created_at)
             self.put_membrane(uid, membrane, credential)
         return membrane
@@ -2215,7 +2212,7 @@ class DatabaseFS:
             },
             "membrane_cache": {
                 "name": "membrane-cache",
-                "enabled": self.cache_config.membrane_object_cache,
+                "enabled": self._membrane_cache.enabled,
                 "size": len(self._membrane_cache),
                 "hits": self.stats.membrane_cache_hits,
                 "misses": self.stats.membrane_cache_misses,
@@ -2223,11 +2220,7 @@ class DatabaseFS:
                     self.stats.membrane_cache_hits / membrane_lookups, 4
                 ) if membrane_lookups else 0.0,
                 "capacity": self.cache_config.membrane_cache_entries,
-                "json_entries": len(self._membrane_json_cache),
-                "evictions": (
-                    self._membrane_cache.stats.evictions
-                    + self._membrane_json_cache.stats.evictions
-                ),
+                "evictions": self._membrane_cache.stats.evictions,
             },
             "journal": {
                 "name": "journal-group-commit",
@@ -2734,10 +2727,8 @@ class DatabaseFS:
         with self._index_lock:
             indexes = list(self._field_indexes.values())
         for index in indexes:
-            flush = getattr(index, "flush", None)
-            if flush is not None:
-                flush()
-                flushed += 1
+            index.flush()
+            flushed += 1
         for type_name, bloom in sorted(self._table_blooms.items()):
             self._persist_table_bloom(type_name, bloom)
             flushed += 1
@@ -2895,12 +2886,9 @@ class DatabaseFS:
         with self._index_lock:
             indexes = sorted(self._field_indexes.items())
         for (type_name, field_name), index in indexes:
-            compact_pages = getattr(index, "compact", None)
-            if compact_pages is None:
-                continue  # in-memory FieldIndex: nothing durable to repack
             self.journal.begin()
             self.journal.log_delete(f"compact-index:{type_name}.{field_name}")
-            compact_pages()
+            index.compact()
             self.journal.commit()
             report["indexes_compacted"] += 1
             self.stats.compacted_indexes += 1

@@ -17,10 +17,11 @@ is the deliberately small variant DBFS needs:
   can possibly miss needs no bookkeeping, which keeps the serial path
   allocation-free.
 * **Membrane version chains.**  A consent mutation while a snapshot
-  is active appends ``(commit_version, membrane_json)`` to the uid's
-  chain (lazily seeded with the pre-mutation state), so the snapshot
-  reads the consent state *as of* its begin version.  JSON strings
-  are immutable, so chain entries are safe to hand across threads.
+  is active appends ``(commit_version, membrane)`` to the uid's chain
+  (lazily seeded with the pre-mutation state), so the snapshot reads
+  the consent state *as of* its begin version.  Published membranes
+  are read-only values (writers mutate a copy), so chain entries are
+  safe to hand across threads and this module never looks inside one.
   Revocation and RTBF go through the same path: they commit a new
   chain entry, which makes them immediately visible to the *next*
   snapshot — the GDPR-critical direction.
@@ -59,13 +60,13 @@ class MVCCState:
         #: uid -> commit version of its store (recorded only while a
         #: snapshot is active; absent means "visible to everyone").
         self._begin: Dict[str, int] = {}
-        #: uid -> [(from_version, membrane_json), ...] ascending.
-        self._chains: Dict[str, List[Tuple[int, str]]] = {}
-        #: uid -> pre-mutation JSON for an in-flight membrane publish
+        #: uid -> [(from_version, membrane), ...] ascending.
+        self._chains: Dict[str, List[Tuple[int, object]]] = {}
+        #: uid -> pre-mutation state of an in-flight membrane publish
         #: (prepare_membrane() called, stamp_membrane() not yet).  A
         #: snapshot beginning inside that window seeds the chain from
         #: here so it never reads the half-published new state.
-        self._pending: Dict[str, str] = {}
+        self._pending: Dict[str, object] = {}
         #: uids of in-flight stores (prepare_store() called,
         #: stamp_store() not yet): already linked into the indexes but
         #: not committed, so invisible to every snapshot.
@@ -109,34 +110,30 @@ class MVCCState:
                 self._begin[uid] = self._version
             return self._version
 
-    def prepare_membrane(self, uid: str, old_json: str) -> None:
+    def prepare_membrane(self, uid: str, old: object) -> None:
         """Pre-register a membrane publish before it becomes visible.
 
         The writer calls this *before* rewriting the inode and the
-        live caches with the new JSON.  It seeds the uid's chain with
-        the pre-mutation state while any snapshot is active, and parks
-        ``old_json`` in the pending map so a snapshot that *begins*
-        during the publish window (new JSON live, commit not stamped)
+        live cache with the new membrane.  It seeds the uid's chain
+        with the pre-mutation state while any snapshot is active, and
+        parks ``old`` in the pending map so a snapshot that *begins*
+        during the publish window (new state live, commit not stamped)
         is seeded by :meth:`begin_snapshot` — without this, such a
         reader would find no chain entry and fall through to the
         half-published live state.  The matching :meth:`stamp_membrane`
         clears the pending entry.
         """
         with self._lock:
-            self._pending[uid] = old_json
+            self._pending[uid] = old
             if self._active and uid not in self._chains:
-                self._chains[uid] = [(self._begin.get(uid, 0), old_json)]
+                self._chains[uid] = [(self._begin.get(uid, 0), old)]
 
-    def stamp_membrane(self, uid: str, old_json: Optional[str],
-                       new_json: str) -> int:
+    def stamp_membrane(self, uid: str, old: object, new: object) -> int:
         """Commit a membrane mutation, chaining the old state if needed.
 
-        ``old_json`` is the pre-mutation membrane JSON; it seeds the
-        chain the first time a uid's membrane changes under an active
-        snapshot, so that snapshot keeps reading the state it began
-        with.  ``None`` is accepted when the caller knows no snapshot
-        was active (the chain is then only appended if it already
-        exists, which cannot happen once pruning ran).
+        ``old`` is the pre-mutation membrane; it seeds the chain the
+        first time a uid's membrane changes under an active snapshot,
+        so that snapshot keeps reading the state it began with.
         """
         with self._lock:
             self._version += 1
@@ -144,12 +141,8 @@ class MVCCState:
             if self._active or uid in self._chains:
                 chain = self._chains.get(uid)
                 if chain is None:
-                    seed_version = self._begin.get(uid, 0)
-                    chain = self._chains[uid] = (
-                        [(seed_version, old_json)] if old_json is not None
-                        else []
-                    )
-                chain.append((self._version, new_json))
+                    chain = self._chains[uid] = [(self._begin.get(uid, 0), old)]
+                chain.append((self._version, new))
                 self.chain_entries_recorded += 1
             return self._version
 
@@ -170,10 +163,10 @@ class MVCCState:
             # Membrane publishes may be in flight (prepare_membrane
             # ran, stamp_membrane has not): seed their chains so this
             # snapshot reads the pre-publish consent state instead of
-            # the already-live new JSON.
-            for uid, old_json in self._pending.items():
+            # the already-live new state.
+            for uid, old in self._pending.items():
                 if uid not in self._chains:
-                    self._chains[uid] = [(self._begin.get(uid, 0), old_json)]
+                    self._chains[uid] = [(self._begin.get(uid, 0), old)]
             return version
 
     def release_snapshot(self, version: int) -> None:
@@ -222,9 +215,9 @@ class MVCCState:
                 and ((b := begin.get(uid)) is None or b <= snapshot_version)
             ]
 
-    def membrane_json_as_of(self, uid: str,
-                            snapshot_version: int) -> Optional[str]:
-        """Membrane JSON as of the snapshot, or None meaning "use live".
+    def membrane_as_of(self, uid: str,
+                       snapshot_version: int) -> Optional[object]:
+        """The membrane as of the snapshot, or None meaning "use live".
 
         Walks the uid's chain backwards for the last entry whose
         from_version is ``<= snapshot_version``; no chain means the
@@ -239,9 +232,9 @@ class MVCCState:
             chain = self._chains.get(uid)
             if not chain:
                 return None
-            for from_version, membrane_json in reversed(chain):
+            for from_version, membrane in reversed(chain):
                 if from_version <= snapshot_version:
-                    return membrane_json
+                    return membrane
             # Chain exists but every entry postdates the snapshot — the
             # record itself was stored after the snapshot began; callers
             # filter those out via visible() before asking for membranes.

@@ -56,7 +56,9 @@ class TestViolationDetection:
         copy_ref = builtins.copy(alice, actor="alice")
         # Corrupt one membrane directly, bypassing the consistency
         # helper (simulating a buggy component).
-        membrane = system.dbfs.get_membrane(copy_ref.uid, builtins.credential)
+        membrane = system.dbfs.get_membrane(
+            copy_ref.uid, builtins.credential
+        ).copy()
         membrane.grant("purpose2", SCOPE_ALL, at=1.0)
         system.dbfs.put_membrane(copy_ref.uid, membrane, builtins.credential)
         report = system.audit()

@@ -97,7 +97,7 @@ class TestSnapshotIsolationStress:
             mine = refs[worker::WRITER_THREADS]
             for ref in mine:
                 with fleet.write_lock(ref.uid):
-                    membrane = fleet.get_membrane(ref.uid, DED)
+                    membrane = fleet.get_membrane(ref.uid, DED).copy()
                     membrane.revoke("stats", at=1.0, by=membrane.subject_id)
                     fleet.put_membrane(ref.uid, membrane, DED)
                 with committed_lock:

@@ -6,7 +6,9 @@ from repro import errors
 from repro.core.active_data import AccessCredential
 from repro.core.crypto import Authority
 from repro.storage.dbfs import DatabaseFS
+from repro.storage.inode import KIND_INDEX_PAGE
 from repro.storage.query import DeleteRequest, Predicate, UpdateRequest
+from repro.storage.shard import ShardedDBFS
 
 from test_dbfs import make_user_type, store_user
 
@@ -140,3 +142,57 @@ class TestIndexMaintenance:
         assert dbfs.select_uids(
             "user", Predicate("year", "eq", 1990), DED
         ) == sorted([refs["c"].uid, refs["d"].uid])
+
+
+class TestFailedUpdate:
+    """A failed update leaves every field index agreeing with the row
+    that survived, whichever write the fault hit."""
+
+    @pytest.mark.parametrize("fault_at", ["row", "index-page"])
+    @pytest.mark.parametrize("shard_count", [1, 3])
+    def test_index_matches_scan_after_failed_update(
+        self, shard_count, fault_at, monkeypatch
+    ):
+        authority = Authority(bits=512, seed=67)
+        key = authority.issue_operator_key("failed-update-op")
+        fs = (
+            DatabaseFS(operator_key=key) if shard_count == 1
+            else ShardedDBFS(shard_count=shard_count, operator_key=key)
+        )
+        fs.create_type(make_user_type(), DED)
+        refs = [store_user(fs, subject, year=1815) for subject in "abcde"]
+        fs.create_index("user", "year", DED)
+        target = refs[2].uid
+        owner = fs if shard_count == 1 else fs.shard_for_uid(target)
+        record_no = owner._record_index[target]
+        rewrite = owner.inodes.rewrite_scrubbed
+        page_writes = []
+
+        def failing(number, payload):
+            if fault_at == "row":
+                hit = number == record_no
+            else:
+                # The first index-page write drops the old entry; fail
+                # the second one, which would add the new entry.
+                hit = owner.inodes.get(number).kind == KIND_INDEX_PAGE
+                if hit:
+                    page_writes.append(number)
+                    hit = len(page_writes) == 2
+            if hit:
+                monkeypatch.setattr(owner.inodes, "rewrite_scrubbed", rewrite)
+                raise errors.TransientIOError("injected")
+            return rewrite(number, payload)
+
+        monkeypatch.setattr(owner.inodes, "rewrite_scrubbed", failing)
+        with pytest.raises(errors.TransientIOError):
+            fs.update(UpdateRequest(target, {"year": 1900}), DED)
+        assert owner.inodes.rewrite_scrubbed is rewrite  # the fault fired
+        for year in (1815, 1900):
+            predicate = Predicate("year", "eq", year)
+            for shard in fs.shards:
+                assert shard.select_uids("user", predicate, DED) == sorted(
+                    shard._select_scan("user", predicate)
+                )
+        assert fs.select_uids(
+            "user", Predicate("year", "eq", 1815), DED
+        ) == sorted(ref.uid for ref in refs)

@@ -46,7 +46,7 @@ def crash(dbfs):
     dbfs._record_index.clear()
     dbfs._membrane_index.clear()
     dbfs._lineage_index.clear()
-    dbfs._membrane_json_cache.clear()
+    dbfs._membrane_cache.clear()
     dbfs._escrow_blobs.clear()
     return dbfs.remount()
 
@@ -83,7 +83,7 @@ class TestRemountRecovers:
 
     def test_consent_state_survives(self, dbfs):
         ref = store_user(dbfs, "alice")
-        membrane = dbfs.get_membrane(ref.uid, DED)
+        membrane = dbfs.get_membrane(ref.uid, DED).copy()
         membrane.grant("new_purpose", "all", at=5.0, by="alice")
         dbfs.put_membrane(ref.uid, membrane, DED)
         crash(dbfs)
@@ -93,7 +93,7 @@ class TestRemountRecovers:
 
     def test_lineage_index_rebuilt(self, dbfs):
         ref = store_user(dbfs, "alice")
-        membrane = dbfs.get_membrane(ref.uid, DED)
+        membrane = dbfs.get_membrane(ref.uid, DED).copy()
         membrane.lineage = ref.uid
         dbfs.put_membrane(ref.uid, membrane, DED)
         copy_membrane = membrane.clone_for_copy(at=1.0)

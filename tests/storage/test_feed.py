@@ -154,7 +154,7 @@ class TestPostCommit:
         ref = check("store", lambda: store_user(dbfs, "alice"))
         check("update", lambda: dbfs.update(
             UpdateRequest(ref.uid, {"year": 1816}), DED))
-        membrane = dbfs.get_membrane(ref.uid, DED)
+        membrane = dbfs.get_membrane(ref.uid, DED).copy()
         membrane.revoke("stats", at=1.0)
         check("membrane_update", lambda: dbfs.put_membrane(
             ref.uid, membrane, DED))
@@ -169,7 +169,7 @@ class TestPostCommit:
         payloads = []
         dbfs.feed.subscribe(lambda shard, op, payload: payloads.append(payload))
         ref = store_user(dbfs, "alice")
-        membrane = dbfs.get_membrane(ref.uid, DED)
+        membrane = dbfs.get_membrane(ref.uid, DED).copy()
         assert payloads[-1]["deadline"] == membrane.expiry_deadline()
         membrane.mark_erased(at=1.0)
         dbfs.put_membrane(ref.uid, membrane, DED)

@@ -16,9 +16,12 @@ import pytest
 
 from repro import errors
 from repro.core.active_data import AccessCredential
+from repro.core.builtins import BuiltinFunctions
+from repro.core.clock import Clock
 from repro.core.crypto import Authority
 from repro.core.datatypes import FieldDef, PDType
 from repro.core.membrane import membrane_for_type
+from repro.core.processing_log import ProcessingLog
 from repro.storage.dbfs import DatabaseFS
 from repro.storage.mvcc import FleetSnapshot, MVCCState
 from repro.storage.query import (
@@ -93,15 +96,15 @@ class TestMVCCState:
         version = state.begin_snapshot()
         state.stamp_membrane("pd:x:1", '{"v": "old"}', '{"v": "new"}')
         state.commit()
-        assert state.membrane_json_as_of("pd:x:1", version) == '{"v": "old"}'
+        assert state.membrane_as_of("pd:x:1", version) == '{"v": "old"}'
         later = state.begin_snapshot()
         # The mutation predates this snapshot: the chain tip it reads
         # is byte-identical to the live state.
-        assert state.membrane_json_as_of("pd:x:1", later) == '{"v": "new"}'
+        assert state.membrane_as_of("pd:x:1", later) == '{"v": "new"}'
         state.release_snapshot(version)
         state.release_snapshot(later)
         # Last release pruned the chain: live is the only state left.
-        assert state.membrane_json_as_of("pd:x:1", later) is None
+        assert state.membrane_as_of("pd:x:1", later) is None
 
     def test_pending_publish_covers_active_snapshot(self):
         # put_membrane publishes the new JSON to the inode/caches
@@ -110,9 +113,9 @@ class TestMVCCState:
         state = MVCCState()
         version = state.begin_snapshot()
         state.prepare_membrane("pd:x:1", '{"v": "old"}')
-        assert state.membrane_json_as_of("pd:x:1", version) == '{"v": "old"}'
+        assert state.membrane_as_of("pd:x:1", version) == '{"v": "old"}'
         state.stamp_membrane("pd:x:1", '{"v": "old"}', '{"v": "new"}')
-        assert state.membrane_json_as_of("pd:x:1", version) == '{"v": "old"}'
+        assert state.membrane_as_of("pd:x:1", version) == '{"v": "old"}'
         state.release_snapshot(version)
 
     def test_pending_publish_seeds_snapshot_begun_mid_window(self):
@@ -122,11 +125,11 @@ class TestMVCCState:
         state = MVCCState()
         state.prepare_membrane("pd:x:1", '{"v": "old"}')
         version = state.begin_snapshot()
-        assert state.membrane_json_as_of("pd:x:1", version) == '{"v": "old"}'
+        assert state.membrane_as_of("pd:x:1", version) == '{"v": "old"}'
         state.stamp_membrane("pd:x:1", '{"v": "old"}', '{"v": "new"}')
-        assert state.membrane_json_as_of("pd:x:1", version) == '{"v": "old"}'
+        assert state.membrane_as_of("pd:x:1", version) == '{"v": "old"}'
         later = state.begin_snapshot()
-        assert state.membrane_json_as_of("pd:x:1", later) == '{"v": "new"}'
+        assert state.membrane_as_of("pd:x:1", later) == '{"v": "new"}'
         state.release_snapshot(version)
         state.release_snapshot(later)
 
@@ -202,7 +205,7 @@ class TestDBFSSnapshots:
     def test_snapshot_pins_consent_across_revocation(self, dbfs):
         ref = store(dbfs, "alice")
         with dbfs.begin_snapshot() as snapshot:
-            membrane = dbfs.get_membrane(ref.uid, DED)
+            membrane = dbfs.get_membrane(ref.uid, DED).copy()
             membrane.revoke("stats", at=1.0, by="alice")
             dbfs.put_membrane(ref.uid, membrane, DED)
             # This snapshot still reads the pre-revocation consent...
@@ -318,8 +321,8 @@ class TestCommitWindows:
         self, dbfs, monkeypatch
     ):
         ref = store(dbfs, "alice")
-        # Callers mutate the shared cached object, then persist it.
-        membrane = dbfs.get_membrane(ref.uid, DED)
+        # Callers mutate a copy, then persist it.
+        membrane = dbfs.get_membrane(ref.uid, DED).copy()
         membrane.grant("marketing", "all", at=1.0)
 
         def failing(*args, **kwargs):
@@ -333,6 +336,49 @@ class TestCommitWindows:
         with dbfs.begin_snapshot() as snapshot:
             live = dbfs.get_membrane(ref.uid, DED, snapshot=snapshot)
             assert live.permits("marketing") is None
+
+    @pytest.mark.parametrize("shard_count", [1, 3])
+    def test_consent_change_unseen_before_its_publish(self, shard_count):
+        authority = Authority(bits=512, seed=43)
+        key = authority.issue_operator_key("publish-op")
+        fs = (
+            DatabaseFS(operator_key=key) if shard_count == 1
+            else ShardedDBFS(shard_count=shard_count, operator_key=key)
+        )
+        fs.create_type(make_type(), DED)
+        ref = store(fs, "alice")
+        fs.get_membrane(ref.uid, DED)  # warm the membrane cache
+        builtins = BuiltinFunctions(fs, Clock(), ProcessingLog())
+        seen = []
+        with fs.begin_snapshot() as snapshot:
+            def grant(membrane):
+                membrane.grant("marketing", "all", at=1.0, by="alice")
+                for read in (snapshot, None):
+                    seen.append(
+                        fs.get_membrane(ref.uid, DED, snapshot=read)
+                        .permits("marketing")
+                    )
+
+            assert builtins.apply_membrane_change(ref.uid, grant) == [ref.uid]
+            assert fs.get_membrane(
+                ref.uid, DED, snapshot=snapshot
+            ).permits("marketing") is None
+        assert seen == [None, None]
+        assert fs.get_membrane(ref.uid, DED).permits("marketing") == "all"
+
+    def test_put_membrane_rejects_the_published_object(self, dbfs):
+        ref = store(dbfs, "alice")
+        published = dbfs.get_membrane(ref.uid, DED)
+        published.grant("marketing", "all", at=1.0)
+        with pytest.raises(errors.DBFSError):
+            dbfs.put_membrane(ref.uid, published, DED)
+        # The rejected change is dropped: readers see the device state.
+        assert dbfs.get_membrane(ref.uid, DED).permits("marketing") is None
+        # A copy of the published membrane is the supported way in.
+        membrane = dbfs.get_membrane(ref.uid, DED).copy()
+        membrane.revoke("stats", at=2.0)
+        dbfs.put_membrane(ref.uid, membrane, DED)
+        assert dbfs.get_membrane(ref.uid, DED) is membrane
 
 
 class TestFleetSnapshots:

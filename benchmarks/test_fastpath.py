@@ -68,6 +68,16 @@ def time_repeat(fn, rounds=ROUNDS):
     return time.perf_counter() - start
 
 
+def work_counters(system):
+    """(partial decodes, full decodes, block reads) made so far."""
+    dbfs = system.dbfs
+    return (
+        dbfs.stats.partial_decodes,
+        dbfs.stats.full_decodes,
+        dbfs.device.stats.reads,
+    )
+
+
 def test_fastpath_repeated_scan(benchmark, authority):
     """Repeated predicate scan: >=3x from the record/listing caches."""
     predicate = Predicate("year_of_birthdate", "ge", 0)
@@ -81,9 +91,14 @@ def test_fastpath_repeated_scan(benchmark, authority):
 
     assert scan(cached) == scan(uncached)  # identical results first
 
+    uncached_before = work_counters(uncached)
     uncached_seconds = time_repeat(lambda: scan(uncached))
+    uncached_after = work_counters(uncached)
+    cached_before = work_counters(cached)
     cached_seconds = time_repeat(lambda: scan(cached))
+    cached_after = work_counters(cached)
     speedup = uncached_seconds / cached_seconds
+    scans = ROUNDS + 1  # time_repeat's warm-up call plus the timed rounds
 
     rows = [
         ("config", "seconds", "per_scan_us"),
@@ -106,8 +121,30 @@ def test_fastpath_repeated_scan(benchmark, authority):
         latency=latency_block(
             cached.telemetry.registry, ["dbfs.select", "block.read"]
         ),
-        extra={"cache_stats": cached.cache_stats()},
+        extra={
+            "cache_stats": cached.cache_stats(),
+            "work_per_scan": {
+                side: {
+                    "partial_decodes": (after[0] - before[0]) / scans,
+                    "full_decodes": (after[1] - before[1]) / scans,
+                    "block_reads": (after[2] - before[2]) / scans,
+                }
+                for side, before, after in (
+                    ("caches_off", uncached_before, uncached_after),
+                    ("caches_on", cached_before, cached_after),
+                )
+            },
+        },
     )
+    # Work counters beside the timing: a warm cached scan decodes no
+    # row and reads no block, while every uncached scan partially
+    # decodes each subject's row once.
+    assert cached_after == cached_before, (
+        f"cached repeats did work: (partial, full, block reads) went "
+        f"{cached_before} -> {cached_after}"
+    )
+    assert uncached_after[0] - uncached_before[0] == SUBJECTS * scans
+    assert uncached_after[1] == uncached_before[1]
     assert speedup >= TARGET_SPEEDUP, (
         f"repeated-scan speedup {speedup:.2f}x below the "
         f"{TARGET_SPEEDUP}x target"

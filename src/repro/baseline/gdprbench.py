@@ -239,11 +239,14 @@ class RgpdOSAdapter(StorageAdapter):
     the persona mixes measure how subject-scoped GDPR ops scale with
     shard count.  ``pd_device_blocks`` sizes each PD device (large
     populations need more than the default 65536 blocks per shard) and
-    ``journal_config`` sets the per-shard auto-checkpoint policy.
-    ``record_codec`` picks the row encoding ("v2" binary, "v1" JSON)
-    and ``cache_config`` the fast-path knobs, so the persona mixes can
+    ``journal_config`` sets the per-shard auto-checkpoint policy and
+    ``cache_config`` the fast-path knobs, so the persona mixes can
     isolate the decode path (codec benchmarks run with the record cache
     off).
+
+    ``record_codec`` accepts only ``"v2"``, the one row encoding DBFS
+    has.  It is kept so that callers written when JSON rows were still
+    a table option, which pass ``record_codec="v2"``, keep working.
     """
 
     name = "rgpdos"
@@ -260,6 +263,11 @@ class RgpdOSAdapter(StorageAdapter):
         workers: int = 0,
         io_delay_scale: float = 0.0,
     ) -> None:
+        if record_codec != "v2":
+            raise ValueError(
+                f"unknown record codec {record_codec!r}: binary-v2 is the "
+                "only row encoding"
+            )
         self.system = RgpdOS(
             operator_name="gdprbench",
             shards=shards,
@@ -267,7 +275,6 @@ class RgpdOSAdapter(StorageAdapter):
             journal_config=journal_config,
             with_machine=with_machine,
             telemetry=telemetry,
-            record_codec=record_codec,
             cache_config=cache_config,
             workers=workers,
             io_delay_scale=io_delay_scale,
@@ -539,23 +546,20 @@ def run_comparison(
     seed: int = 7,
     shards: int = 1,
     telemetry: Optional[Telemetry] = None,
-    record_codec: str = "v2",
 ) -> List[BenchResult]:
     """The GB-1 grid: every persona on every engine.
 
-    ``shards``, ``telemetry`` and ``record_codec`` apply to the rgpdOS
-    engine only (the baselines have no sharded layout, no probe points
-    and no binary rows); passing one shared :class:`Telemetry` collects
-    every persona run's spans and latency histograms into a single
-    registry/tracer.
+    ``shards`` and ``telemetry`` apply to the rgpdOS engine only (the
+    baselines have no sharded layout and no probe points); passing one
+    shared :class:`Telemetry` collects every persona run's spans and
+    latency histograms into a single registry/tracer.
     """
     results: List[BenchResult] = []
     for adapter_cls in (PlainDBAdapter, UserspaceDBAdapter, RgpdOSAdapter):
         for persona in personas:
             if adapter_cls is RgpdOSAdapter:
                 adapter: StorageAdapter = RgpdOSAdapter(
-                    shards=shards, telemetry=telemetry,
-                    record_codec=record_codec,
+                    shards=shards, telemetry=telemetry
                 )
             else:
                 adapter = adapter_cls()

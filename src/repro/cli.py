@@ -176,7 +176,6 @@ def cmd_gdprbench(args: argparse.Namespace) -> int:
         seed=args.seed,
         shards=args.shards,
         telemetry=telemetry,
-        record_codec=args.codec,
     )
     print(f"{'engine':22s} {'persona':12s} {'ops/s':>10s} {'denied':>7s}")
     for result in results:
@@ -207,8 +206,7 @@ def _gdprbench_concurrent(args: argparse.Namespace, telemetry) -> int:
     from .workloads.openloop import OpenLoopDriver
 
     adapter = RgpdOSAdapter(
-        shards=args.shards, telemetry=telemetry,
-        record_codec=args.codec, workers=args.workers,
+        shards=args.shards, telemetry=telemetry, workers=args.workers
     )
     runner = GDPRBenchRunner(adapter, seed=args.seed)
     runner.load(args.records)
@@ -273,7 +271,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print(f"bad predicate: {exc}", file=sys.stderr)
         return 2
 
-    system = RgpdOS(operator_name="cli-explain", record_codec=args.codec)
+    system = RgpdOS(operator_name="cli-explain")
     system.install(STANDARD_DECLARATIONS)
     generator = PopulationGenerator(seed=args.seed)
     with system.dbfs.batch():
@@ -312,8 +310,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     described = plan.describe()
     print(f"query: {args.type} WHERE "
           + (" AND ".join(p.describe() for p in predicates) or "<all rows>"))
-    print(f"strategy: {described['strategy']} "
-          f"(codec={args.codec}, records={args.records})")
+    print(f"strategy: {described['strategy']} (records={args.records})")
     if plan.index_field is not None:
         print(f"index used: {args.type}.{plan.index_field} "
               f"driving {plan.index_predicate.describe()}")
@@ -601,10 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the rgpdOS engine's trace spans to FILE as JSONL",
     )
     bench.add_argument(
-        "--codec", choices=("v1", "v2"), default="v2",
-        help="record encoding for the rgpdOS engine (default v2)",
-    )
-    bench.add_argument(
         "--workers", type=int, default=0, metavar="N",
         help="run the rgpdOS engine concurrently with N request "
              "workers (default 0: the serial three-engine grid)",
@@ -625,10 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument("--records", type=int, default=200)
     explain.add_argument("--seed", type=int, default=7)
-    explain.add_argument(
-        "--codec", choices=("v1", "v2"), default="v2",
-        help="record encoding for the seeded store (default v2)",
-    )
     explain.add_argument(
         "--index", action="append", default=None, metavar="FIELD",
         help="index FIELD before planning (repeatable; defaults to "

@@ -323,7 +323,6 @@ class ReplicatedCluster:
             cache_config=self.system.cache_config,
             journal_config=getattr(template.journal, "config", None),
             telemetry=self.telemetry,
-            record_codec=getattr(template, "_record_codec", "v2"),
         )
 
     # ------------------------------------------------------------------
@@ -869,7 +868,6 @@ class ReplicatedCluster:
                 cache_config=self.system.cache_config,
                 journal_config=getattr(shards[0].journal, "config", None),
                 telemetry=self.telemetry,
-                record_codec=getattr(shards[0], "_record_codec", "v2"),
                 feed=store.feed,
             )
         return DatabaseFS.remount_from_device(
@@ -879,7 +877,6 @@ class ReplicatedCluster:
             cache_config=self.system.cache_config,
             journal_config=getattr(store.journal, "config", None),
             telemetry=self.telemetry,
-            record_codec=getattr(store, "_record_codec", "v2"),
             feed=store.feed,
         )
 

@@ -91,7 +91,6 @@ class RgpdOS:
         journal_config: Optional[JournalConfig] = None,
         pd_device_blocks: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
-        record_codec: str = "v2",
         workers: int = 0,
         io_delay_scale: float = 0.0,
     ) -> None:
@@ -141,7 +140,6 @@ class RgpdOS:
                 cache_config=self.cache_config,
                 journal_config=journal_config,
                 telemetry=self.telemetry,
-                record_codec=record_codec,
             )
         else:
             self.dbfs = ShardedDBFS(
@@ -151,7 +149,6 @@ class RgpdOS:
                 cache_config=self.cache_config,
                 journal_config=journal_config,
                 telemetry=self.telemetry,
-                record_codec=record_codec,
             )
         self.npd_fs = FileBasedFS()
 

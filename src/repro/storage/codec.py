@@ -1,17 +1,16 @@
-"""Record codecs for DBFS rows (paper § 3(1): format-descriptor inodes).
+"""Record codec for DBFS rows (paper § 3(1): format-descriptor inodes).
 
-Two wire encodings coexist, negotiated through the per-type format
-descriptor inode:
+Every table row is encoded ``binary-v2``, the encoding each per-type
+format descriptor inode names.  It is a schema-aware binary layout: the
+descriptor carries an append-only ``field_order`` list; each row stores
+a per-row field-offset table followed by tagged values, so a reader can
+decode *only* the fields a predicate or projection touches (partial
+decode) and ``bytes`` are stored raw, not base64.
 
-* **v1** — ``json+base64-bytes``: the row is a JSON object; ``bytes``
-  values are wrapped as ``{"__bytes__": "<base64>"}``.  Every read pays
-  a full ``json.loads`` of the row.
-
-* **v2** — ``binary-v2``: a schema-aware binary layout.  The format
-  descriptor carries an append-only ``field_order`` list; each row
-  stores a per-row field-offset table followed by tagged values, so a
-  reader can decode *only* the fields a predicate or projection
-  touches (partial decode) and ``bytes`` are stored raw, not base64.
+JSON with base64-wrapped bytes (:func:`encode_record_v1`) is not a
+table encoding.  It remains the format of authority-escrow blobs, which
+the authority must decode without the operator's descriptors, and of
+the v2 ``JSON`` value tag below.
 
 v2 row layout (all integers little-endian)::
 
@@ -31,27 +30,24 @@ Value tags::
     0x04 STR     u32 length + UTF-8 bytes
     0x05 BYTES   u32 length + raw bytes
     0x06 JSON    u32 length + UTF-8 JSON (fallback: out-of-range ints,
-                 nested containers; nested bytes use the v1 wrapping)
+                 nested containers; nested bytes use the base64 wrapping)
 
 Schema evolution is append-only (``evolve_type``), so ``field_order``
 only ever grows at the tail: rows written before an evolution simply
 have a shorter offset table and decode fine against the longer order.
-Decoding auto-detects the encoding per row from the magic byte, which
-keeps mixed-encoding tables (pre-/post-upgrade rows) and crash
-recovery robust without trusting anything but the row bytes and the
-descriptor's field order.
+A row without the v2 magic, or a descriptor that names another
+encoding, is rejected with :class:`~repro.errors.DBFSError`.
 """
 from __future__ import annotations
 
 import base64
 import json
 import struct
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..errors import DBFSError
 
-# Encoding names as written into format-descriptor inodes.
-ENCODING_V1 = "json+base64-bytes"
+# The encoding name written into format-descriptor inodes.
 ENCODING_V2 = "binary-v2"
 
 MAGIC_V2 = 0xB2
@@ -77,7 +73,7 @@ _F64 = struct.Struct("<d")
 
 
 # --------------------------------------------------------------------------
-# v1: JSON with base64-wrapped bytes
+# JSON with base64-wrapped bytes (escrow blobs, the v2 JSON tag)
 # --------------------------------------------------------------------------
 
 def _json_default(obj: object) -> object:
@@ -93,12 +89,12 @@ def _json_object_hook(obj: Dict[str, object]) -> object:
 
 
 def encode_record_v1(record: Dict[str, object]) -> bytes:
-    """Serialize a record dict with the v1 JSON encoding."""
+    """Serialize a record dict as JSON with base64-wrapped bytes."""
     return json.dumps(record, sort_keys=True, default=_json_default).encode()
 
 
 def decode_record_v1(raw: bytes) -> Dict[str, object]:
-    """Deserialize a v1 JSON payload (empty payload = empty record).
+    """Deserialize a JSON record payload (empty payload = empty record).
 
     Accepts any bytes-like object (``memoryview`` from the zero-copy
     read path included), hence ``str(raw, ...)`` over ``raw.decode()``.
@@ -166,11 +162,9 @@ class RecordCodec:
     # -- decode ----------------------------------------------------------
 
     def decode(self, raw: bytes) -> Dict[str, object]:
-        """Fully decode a v2 row (or fall back to v1 JSON per-row)."""
+        """Fully decode a v2 row (an empty payload is an empty record)."""
         if not raw:
             return {}
-        if not is_v2_payload(raw):
-            return decode_record_v1(raw)
         count, offsets, base = self._parse_header(raw)
         order = self.field_order
         record: Dict[str, object] = {}
@@ -183,16 +177,9 @@ class RecordCodec:
     def decode_fields(
         self, raw: bytes, fields: Iterable[str]
     ) -> Dict[str, object]:
-        """Decode only *fields*, using the offset table to skip the rest.
-
-        v1 rows (no magic byte) fall back to a full JSON decode followed
-        by projection — correct, just not cheaper.
-        """
+        """Decode only *fields*, using the offset table to skip the rest."""
         if not raw:
             return {}
-        if not is_v2_payload(raw):
-            full = decode_record_v1(raw)
-            return {k: v for k, v in full.items() if k in set(fields)}
         count, offsets, base = self._parse_header(raw)
         ordinal = self.ordinal
         record: Dict[str, object] = {}
@@ -207,9 +194,11 @@ class RecordCodec:
 
     def _parse_header(self, raw: bytes):
         try:
-            _, _, count = _HEADER.unpack_from(raw, 0)
+            magic, version, count = _HEADER.unpack_from(raw, 0)
         except struct.error as exc:
             raise DBFSError(f"truncated v2 row header: {exc}") from exc
+        if magic != MAGIC_V2 or version != VERSION_V2:
+            raise DBFSError("row lacks the binary-v2 magic header")
         if count > len(self.field_order):
             raise DBFSError(
                 f"v2 row has {count} field slots but the format descriptor "
@@ -245,7 +234,7 @@ def _encode_value(out: bytearray, value: object) -> None:
         out += value
     else:
         # Fallback covers out-of-range ints and nested containers; the
-        # JSON leg reuses the v1 bytes wrapping for nested bytes.
+        # JSON leg reuses the base64 wrapping for nested bytes.
         encoded = json.dumps(
             value, sort_keys=True, default=_json_default
         ).encode()
@@ -290,25 +279,19 @@ def _decode_value(raw: bytes, pos: int) -> object:
     raise DBFSError(f"unknown v2 value tag 0x{tag:02x} at offset {pos}")
 
 
-def codec_for_format(format_spec: Dict[str, object]) -> Optional[RecordCodec]:
-    """Compile a :class:`RecordCodec` for a v2 format spec (None for v1)."""
-    if format_spec.get("encoding") != ENCODING_V2:
-        return None
+def codec_for_format(format_spec: Dict[str, object]) -> RecordCodec:
+    """Compile the :class:`RecordCodec` a format descriptor declares."""
+    type_name = format_spec.get("type")
+    encoding = format_spec.get("encoding")
+    if encoding != ENCODING_V2:
+        raise DBFSError(
+            f"format descriptor of {type_name!r} declares encoding "
+            f"{encoding!r}; only {ENCODING_V2!r} tables are supported"
+        )
     field_order = format_spec.get("field_order")
     if not field_order:
         raise DBFSError(
-            "binary-v2 format descriptor is missing its field_order"
+            f"binary-v2 format descriptor of {type_name!r} is missing "
+            "its field_order"
         )
     return RecordCodec(field_order)
-
-
-def decode_any(raw: bytes, codec: Optional[RecordCodec]) -> Dict[str, object]:
-    """Decode a row of either encoding, auto-detected per row."""
-    if raw and is_v2_payload(raw):
-        if codec is None:
-            raise DBFSError(
-                "found a binary-v2 row but the format descriptor "
-                "declares no field order"
-            )
-        return codec.decode(raw)
-    return decode_record_v1(raw)

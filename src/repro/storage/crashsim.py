@@ -141,7 +141,6 @@ class CrashSim:
         shard_count: int = 1,
         seed: int = 0,
         journal_config: Optional[JournalConfig] = None,
-        record_codec: str = "v2",
         compaction: bool = False,
     ) -> None:
         if shard_count < 1:
@@ -149,7 +148,6 @@ class CrashSim:
         self.shard_count = shard_count
         self.seed = seed
         self.journal_config = journal_config
-        self.record_codec = record_codec
         #: With ``compaction=True`` the reference workload ends with a
         #: full :meth:`DatabaseFS.compact` pass (record rewrite, index
         #: repack, bloom rebuild, sweeps, journal checkpoint), so the
@@ -180,7 +178,6 @@ class CrashSim:
                 operator_key=self._operator_key,
                 journal_blocks=JOURNAL_BLOCKS,
                 journal_config=self.journal_config,
-                record_codec=self.record_codec,
             )
         else:
             fs = ShardedDBFS(
@@ -188,7 +185,6 @@ class CrashSim:
                 operator_key=self._operator_key,
                 journal_blocks=JOURNAL_BLOCKS,
                 journal_config=self.journal_config,
-                record_codec=self.record_codec,
             )
         return injector, devices, fs
 
@@ -205,7 +201,6 @@ class CrashSim:
                 tables[0],
                 operator_key=self._operator_key,
                 journal_config=self.journal_config,
-                record_codec=self.record_codec,
                 feed=fs.feed,  # type: ignore[attr-defined]
             )
         return ShardedDBFS.remount_from_devices(
@@ -213,7 +208,6 @@ class CrashSim:
             tables,
             operator_key=self._operator_key,
             journal_config=self.journal_config,
-            record_codec=self.record_codec,
             feed=fs.feed,  # type: ignore[attr-defined]
         )
 

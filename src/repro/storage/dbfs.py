@@ -63,7 +63,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .. import errors
 from ..core.active_data import AccessCredential, PDRef
@@ -79,16 +79,7 @@ from .btree import (
     bloom_key,
 )
 from .cache import MISSING, CacheConfig, DEFAULT_CACHE_CONFIG, LRUCache
-from .codec import (
-    ENCODING_V1,
-    ENCODING_V2,
-    RecordCodec,
-    codec_for_format,
-    decode_any,
-    decode_record_v1,
-    encode_record_v1,
-    is_v2_payload,
-)
+from .codec import ENCODING_V2, RecordCodec, codec_for_format, encode_record_v1
 from .feed import ChangeFeed
 from .planner import STRATEGY_INDEX, QueryPlan, compile_residual, plan_query
 from .inode import (
@@ -120,21 +111,6 @@ from .query import (
 )
 
 _uid_counter = itertools.count(1)
-
-
-def _encode_record(record: Mapping[str, object]) -> bytes:
-    """v1 JSON encoding (kept for escrow blobs and v1-encoded tables).
-
-    The authority-escrow path always uses this codec: the ciphertext
-    must stay decodable by the authority without the operator's format
-    descriptors.  Table rows go through :meth:`DatabaseFS._encode_payload`
-    instead, which dispatches on the type's negotiated encoding.
-    """
-    return encode_record_v1(dict(record))
-
-
-def _decode_record(raw: bytes) -> Dict[str, object]:
-    return decode_record_v1(raw)
 
 
 def _locked_writer(method):
@@ -215,20 +191,12 @@ class DatabaseFS:
         cache_config: Optional[CacheConfig] = None,
         journal_config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        record_codec: str = "v2",
         scan_batch_rows: int = 256,
         bloom_filters: bool = True,
         index_page_capacity: int = DEFAULT_PAGE_CAPACITY,
     ) -> None:
         self.cache_config = cache_config if cache_config is not None else DEFAULT_CACHE_CONFIG
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if record_codec not in ("v1", "v2"):
-            raise errors.DBFSError(
-                f"unknown record codec {record_codec!r} (valid: v1, v2)"
-            )
-        #: Encoding written into *new* format descriptors; existing
-        #: tables keep whatever their descriptor negotiated.
-        self._record_codec = record_codec
         #: Rows per chunk on the batched read path; 0 restores the
         #: row-at-a-time legacy scan (the batching benchmark's baseline).
         self.scan_batch_rows = scan_batch_rows
@@ -342,9 +310,9 @@ class DatabaseFS:
         self._membrane_index: Dict[str, int] = {}    # uid -> membrane inode no
         self._escrow_blobs: Dict[str, EscrowBlob] = {}
         self._format_cache: Dict[str, Dict[str, object]] = {}  # per live session
-        # Compiled v2 row codecs, one per live format descriptor (None
-        # for v1 tables).  Lives and dies with _format_cache.
-        self._codec_cache: Dict[str, Optional[RecordCodec]] = {}
+        # Compiled row codecs, one per live format descriptor.  Lives
+        # and dies with _format_cache.
+        self._codec_cache: Dict[str, RecordCodec] = {}
         # Secondary field indexes: (type, field) -> on-device index.
         self._field_indexes: Dict[Tuple[str, str], DurableFieldIndex] = {}
         # Per-table subject/uid bloom filters ("S:<subject>" and
@@ -416,21 +384,17 @@ class DatabaseFS:
         self.inodes.link_child(self._schema_root.number, pd_type.name, table.number)
         # Format descriptor: how records of this type are encoded in the
         # subject subtrees — read once per live session (see _format_of).
-        # The encoding is negotiated here: binary-v2 descriptors carry
-        # the append-only field_order list every v2 row's offset table
+        # Its append-only field_order is what every row's offset table
         # is indexed against.
         format_inode = self.inodes.allocate(KIND_FORMAT)
         format_spec = {
             "type": pd_type.name,
-            "encoding": (
-                ENCODING_V2 if self._record_codec == "v2" else ENCODING_V1
-            ),
+            "encoding": ENCODING_V2,
             "public_fields": sorted(pd_type.field_names - pd_type.sensitive_fields),
             "sensitive_fields": sorted(pd_type.sensitive_fields),
             "membrane_encoding": "json",
+            "field_order": sorted(pd_type.field_names),
         }
-        if self._record_codec == "v2":
-            format_spec["field_order"] = sorted(pd_type.field_names)
         self.inodes.write_payload(
             format_inode.number, json.dumps(format_spec, sort_keys=True).encode()
         )
@@ -498,13 +462,10 @@ class DatabaseFS:
         format_inode = self.inodes.lookup(
             self._formats_root.number, new_type.name
         )
-        # Evolution is the v1 -> v2 upgrade point: the rewritten
-        # descriptor always declares binary-v2, with the field order
-        # extended append-only (existing ordinals never move, so rows
-        # written before the evolution keep decoding; rows already on
-        # disk as v1 JSON remain readable via per-row auto-detection).
-        old_spec = self._format_of(new_type.name)
-        old_order = list(old_spec.get("field_order") or [])
+        # The field order is extended append-only: existing ordinals
+        # never move, so rows written before the evolution keep
+        # decoding.
+        old_order = list(self._format_of(new_type.name)["field_order"])
         known = set(old_order)
         field_order = old_order + sorted(
             name for name in new_type.field_names if name not in known
@@ -560,26 +521,23 @@ class DatabaseFS:
         self.stats.format_reads += 1
         return spec
 
-    def _codec_of(self, type_name: str) -> Optional[RecordCodec]:
-        """Compiled v2 codec for the type, or None for v1 tables.
+    def _codec_of(self, type_name: str) -> RecordCodec:
+        """Compiled row codec for the type.
 
         Compiled once per live format descriptor; invalidated together
         with ``_format_cache`` (evolve_type, remount).
         """
-        codec = self._codec_cache.get(type_name, MISSING)
-        if codec is MISSING:
+        codec = self._codec_cache.get(type_name)
+        if codec is None:
             codec = codec_for_format(self._format_of(type_name))
             self._codec_cache[type_name] = codec
-        return codec  # type: ignore[return-value]
+        return codec
 
     def _encode_payload(
         self, type_name: str, record: Mapping[str, object]
     ) -> bytes:
-        """Encode a row (or row half) with the type's negotiated codec."""
-        codec = self._codec_of(type_name)
-        if codec is None:
-            return _encode_record(record)
-        return codec.encode(dict(record))
+        """Encode a row (or row half) with the type's codec."""
+        return self._codec_of(type_name).encode(dict(record))
 
     # ------------------------------------------------------------------
     # Secondary field indexes
@@ -822,15 +780,13 @@ class DatabaseFS:
         ``fields`` through the v2 offset table.  Erasure is decided
         from the record inode's ``erased`` attr — no membrane loads on
         the scan path.  The sensitive sibling inode is only touched
-        when a wanted field is sensitive; v1 straggler rows fall back
-        to the cached full decode.
+        when a wanted field is sensitive.
         """
         wanted = frozenset(fields)
         codec = self._codec_of(type_name)
-        sensitive_wanted: FrozenSet[str] = frozenset()
-        if codec is not None:
-            fmt = self._format_of(type_name)
-            sensitive_wanted = wanted.intersection(fmt["sensitive_fields"])
+        sensitive_wanted = wanted.intersection(
+            self._format_of(type_name)["sensitive_fields"]
+        )
         batch_rows = max(1, self.scan_batch_rows)
         record_cache = self._record_cache
         record_index = self._record_index
@@ -860,23 +816,16 @@ class DatabaseFS:
                 raw = inodes.read_payload_view(inode_no)
                 if not len(raw):
                     continue  # erase's scrub half ran; mark in flight
-                if codec is not None and is_v2_payload(raw):
-                    record = codec.decode_fields(raw, wanted)
-                    if sensitive_wanted:
-                        sensitive_no = inode.attrs.get("sensitive_inode")
-                        if sensitive_no is not None:
-                            record.update(codec.decode_fields(
-                                inodes.read_payload_view(sensitive_no),
-                                sensitive_wanted,
-                            ))
-                    self.stats.partial_decodes += 1
-                    self.stats.fields_decoded += len(record)
-                else:
-                    try:
-                        full = self._load_record_raw(uid)
-                    except errors.ExpiredPDError:
-                        continue
-                    record = {k: v for k, v in full.items() if k in wanted}
+                record = codec.decode_fields(raw, wanted)
+                if sensitive_wanted:
+                    sensitive_no = inode.attrs.get("sensitive_inode")
+                    if sensitive_no is not None:
+                        record.update(codec.decode_fields(
+                            inodes.read_payload_view(sensitive_no),
+                            sensitive_wanted,
+                        ))
+                self.stats.partial_decodes += 1
+                self.stats.fields_decoded += len(record)
                 rows.append((uid, record))
             yield rows
 
@@ -1492,8 +1441,8 @@ class DatabaseFS:
     ) -> Dict[str, Dict[str, object]]:
         """Fetch records for filtered refs, projected to allowed fields.
 
-        When a per-uid allowed-field set is present, v2-encoded rows
-        are *partially* decoded: only the allowed ordinals are read via
+        When a per-uid allowed-field set is present, rows are
+        *partially* decoded: only the allowed ordinals are read via
         the row's offset table, and the separate sensitive inode is not
         even loaded unless a sensitive field is allowed.  Predicates
         evaluate against the projected record (so a predicate on a
@@ -1554,8 +1503,7 @@ class DatabaseFS:
         if inode_no is None:
             raise errors.UnknownRecordError(f"no PD with uid {uid!r}")
         inode = self.inodes.get(inode_no)
-        type_name = inode.attrs.get("pd_type")
-        codec = self._codec_of(type_name) if type_name else None
+        codec = self._codec_of(inode.attrs["pd_type"])
         raw = self.inodes.read_payload_view(inode_no)
         if not len(raw):
             # A live record always has a non-empty payload; an empty
@@ -1564,11 +1512,11 @@ class DatabaseFS:
             raise errors.ExpiredPDError(
                 f"PD {uid!r} has been erased; its data is not retrievable"
             )
-        record = decode_any(raw, codec)
+        record = codec.decode(raw)
         sensitive_no = inode.attrs.get("sensitive_inode")
         if sensitive_no is not None:
             record.update(
-                decode_any(self.inodes.read_payload_view(sensitive_no), codec)
+                codec.decode(self.inodes.read_payload_view(sensitive_no))
             )
         self.stats.full_decodes += 1
         self._record_cache.put(uid, dict(record))
@@ -1577,15 +1525,14 @@ class DatabaseFS:
     def _load_record_fields(
         self, uid: str, fields: Iterable[str]
     ) -> Dict[str, object]:
-        """Project a record to ``fields``, decoding only those for v2 rows.
+        """Project a record to ``fields``, decoding only those.
 
         The record cache is consulted first (a cached record is already
-        decoded, projection is free); a miss on a v2 row decodes just
-        the wanted ordinals through the offset table and skips the
-        sensitive inode entirely when no sensitive field is wanted.
-        Partial results are never inserted into the record cache — it
-        holds full merged records only.  v1 rows (and v1 stragglers in
-        an upgraded table) take the full-decode path.
+        decoded, projection is free); a miss decodes just the wanted
+        ordinals through the offset table and skips the sensitive inode
+        entirely when no sensitive field is wanted.  Partial results
+        are never inserted into the record cache — it holds full merged
+        records only.
         """
         wanted = set(fields)
         cached = self._record_cache.get(uid)
@@ -1597,16 +1544,11 @@ class DatabaseFS:
         if inode_no is None:
             raise errors.UnknownRecordError(f"no PD with uid {uid!r}")
         inode = self.inodes.get(inode_no)
-        type_name = inode.attrs.get("pd_type")
-        codec = self._codec_of(type_name) if type_name else None
-        if codec is None:  # v1 table: no partial decode exists
-            full = self._load_record_raw(uid)
-            return {k: v for k, v in full.items() if k in wanted}
-        raw = self.inodes.read_payload_view(inode_no)
-        if not is_v2_payload(raw):  # pre-upgrade v1 straggler row
-            full = self._load_record_raw(uid)
-            return {k: v for k, v in full.items() if k in wanted}
-        record = codec.decode_fields(raw, wanted)
+        type_name = inode.attrs["pd_type"]
+        codec = self._codec_of(type_name)
+        record = codec.decode_fields(
+            self.inodes.read_payload_view(inode_no), wanted
+        )
         sensitive_no = inode.attrs.get("sensitive_inode")
         if sensitive_no is not None:
             fmt = self._format_of(type_name)
@@ -1665,9 +1607,6 @@ class DatabaseFS:
             sensitive = {
                 k: v for k, v in record.items() if k in fmt["sensitive_fields"]
             }
-            # Re-encoding with the *current* negotiated codec also
-            # migrates pre-upgrade v1 rows to binary-v2 on their next
-            # update.
             self.inodes.rewrite_scrubbed(
                 inode_no, self._encode_payload(pd_type.name, public)
             )
@@ -1748,7 +1687,9 @@ class DatabaseFS:
                 raise errors.ErasureError(
                     "escrow deletion requires an authority-issued operator key"
                 )
-            blob = self._operator_key.escrow_encrypt(_encode_record(record))
+            # Escrow plaintext is JSON, not a table row: the authority
+            # must decode it without the operator's format descriptors.
+            blob = self._operator_key.escrow_encrypt(encode_record_v1(record))
             # Stage the ciphertext on *fresh* blocks before the intent
             # commits.  Staging destroys nothing: a crash here leaves
             # the plaintext record fully intact and the uncommitted
@@ -2277,7 +2218,6 @@ class DatabaseFS:
         cache_config: Optional[CacheConfig] = None,
         journal_config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        record_codec: str = "v2",
         scan_batch_rows: int = 256,
         bloom_filters: bool = True,
         index_page_capacity: int = DEFAULT_PAGE_CAPACITY,
@@ -2320,14 +2260,6 @@ class DatabaseFS:
             cache_config if cache_config is not None else DEFAULT_CACHE_CONFIG
         )
         fs.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if record_codec not in ("v1", "v2"):
-            raise errors.DBFSError(
-                f"unknown record codec {record_codec!r} (valid: v1, v2)"
-            )
-        # Only governs types created *after* the remount; surviving
-        # tables keep the encoding their format descriptor negotiated,
-        # and rows are auto-detected per row either way.
-        fs._record_codec = record_codec
         fs.scan_batch_rows = scan_batch_rows
         fs.bloom_filters = bloom_filters
         fs._index_page_capacity = index_page_capacity
@@ -2550,12 +2482,22 @@ class DatabaseFS:
 
     def _rebuild_trees(self) -> Dict[str, int]:
         """Schema + subject trees → type registry and uid indexes."""
-        # 1. Schema tree → type registry.
+        # 1. Schema tree → type registry.  Each type's format
+        # descriptor is checked here, so a volume holding a table this
+        # DBFS cannot decode fails the mount instead of its first read.
+        # Only the compiled codec is kept; ``_format_of`` still loads
+        # the descriptor lazily for the live session.
         for type_name, table_no in sorted(self._schema_root.children.items()):
             description = json.loads(
                 self.inodes.read_payload(table_no).decode()
             )
             self._types[type_name] = PDType.from_description(description)
+            format_no = self._formats_root.children.get(type_name)
+            if format_no is None:
+                continue  # power cut inside create_type, before the link
+            self._codec_cache[type_name] = codec_for_format(
+                json.loads(self.inodes.read_payload(format_no).decode())
+            )
 
         # 2. Subject tree → record/membrane/lineage indexes + escrow +
         # per-table blooms.  One metadata pass: lineage and erasure

@@ -71,9 +71,10 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Deque, Dict, Iterator, List, Optional, Sequence
 
 from .. import errors
 from ..obs import NULL_TELEMETRY, Telemetry
@@ -258,8 +259,11 @@ class Journal:
         self._extent = device.allocate_many(reserved_blocks)
         self._slot_of = {block: slot for slot, block in enumerate(self._extent)}
         self._extent_cursor = 1  # next free slot; slot 0 is the superblock
-        self._records: List[JournalRecord] = []  # in-memory index of live records
-        self._record_blocks: List[List[int]] = []  # blocks backing each live record
+        # In-memory index of live records, the blocks backing each, and
+        # the sum of those blocks' counts (so blocks_in_use is O(1)).
+        self._records: Deque[JournalRecord] = deque()
+        self._record_blocks: Deque[List[int]] = deque()
+        self._blocks_used = 0
         self._next_sequence = 0
         self._next_txn = 1
         self._open: Optional[_OpenTransaction] = None
@@ -298,8 +302,9 @@ class Journal:
         journal._extent = list(extent)
         journal._slot_of = {block: slot for slot, block in enumerate(journal._extent)}
         journal._extent_cursor = 1
-        journal._records = []
-        journal._record_blocks = []
+        journal._records = deque()
+        journal._record_blocks = deque()
+        journal._blocks_used = 0
         journal._next_sequence = 0
         journal._next_txn = 1
         journal._open = None
@@ -494,8 +499,9 @@ class Journal:
         """
         with self.telemetry.op("journal.recover") as span:
             scan = self._scan_extent()
-            self._records = scan.records
-            self._record_blocks = scan.record_blocks
+            self._records = deque(scan.records)
+            self._record_blocks = deque(scan.record_blocks)
+            self._blocks_used = sum(len(b) for b in scan.record_blocks)
             self._extent_cursor = scan.cursor
             if scan.records:
                 self._next_sequence = max(
@@ -537,14 +543,16 @@ class Journal:
         return [record for record in self._records if needle in record.payload]
 
     def records(self) -> Iterator[JournalRecord]:
-        return iter(self._records)
+        # A snapshot: iterating the live deque while a writer appends
+        # or reclaims would raise.
+        return iter(list(self._records))
 
     def __len__(self) -> int:
         return len(self._records)
 
     @property
     def blocks_in_use(self) -> int:
-        return sum(len(blocks) for blocks in self._record_blocks)
+        return self._blocks_used
 
     def checkpoint(self) -> int:
         """Truncate the log; returns the number of records discarded.
@@ -560,8 +568,9 @@ class Journal:
         with self.telemetry.op("journal.checkpoint") as span:
             discarded = len(self._records)
             old_blocks = self._record_blocks
-            self._records = []
-            self._record_blocks = []
+            self._records = deque()
+            self._record_blocks = deque()
+            self._blocks_used = 0
             # _append sees an empty log, so it writes the superblock
             # (head = marker) before the marker's own chunks land.
             self._append(JournalRecord(self._take_seq(), 0, TXN_CHECKPOINT))
@@ -602,7 +611,7 @@ class Journal:
         cap_records = self.config.checkpoint_after_records
         cap_blocks = self.config.checkpoint_after_blocks
         if (cap_records is not None and len(self._records) >= cap_records) or (
-            cap_blocks is not None and self.blocks_in_use >= cap_blocks
+            cap_blocks is not None and self._blocks_used >= cap_blocks
         ):
             self.checkpoint()
 
@@ -803,9 +812,11 @@ class Journal:
         was_empty = not self._records
         # Reclaim oldest records until the chunks fit in the record area.
         reclaimed: List[List[int]] = []
-        while self.blocks_in_use + len(chunks) > usable and self._records:
-            reclaimed.append(self._record_blocks.pop(0))
-            self._records.pop(0)
+        while self._blocks_used + len(chunks) > usable and self._records:
+            oldest = self._record_blocks.popleft()
+            self._records.popleft()
+            self._blocks_used -= len(oldest)
+            reclaimed.append(oldest)
         slots: List[int] = []
         cursor = self._extent_cursor
         for _ in chunks:
@@ -831,4 +842,5 @@ class Journal:
         self._extent_cursor = cursor
         self._records.append(record)
         self._record_blocks.append([self._extent[slot] for slot in slots])
+        self._blocks_used += len(slots)
         self.stats.appends += 1

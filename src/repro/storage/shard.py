@@ -104,7 +104,6 @@ class ShardedDBFS:
         cache_config: Optional[CacheConfig] = None,
         journal_config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        record_codec: str = "v2",
         scan_batch_rows: int = 256,
         bloom_filters: bool = True,
         index_page_capacity: int = DEFAULT_PAGE_CAPACITY,
@@ -131,7 +130,6 @@ class ShardedDBFS:
                 cache_config=self.cache_config,
                 journal_config=journal_config,
                 telemetry=self.telemetry,
-                record_codec=record_codec,
                 scan_batch_rows=scan_batch_rows,
                 bloom_filters=bloom_filters,
                 index_page_capacity=index_page_capacity,
@@ -166,7 +164,6 @@ class ShardedDBFS:
         cache_config: Optional[CacheConfig] = None,
         journal_config: Optional[JournalConfig] = None,
         telemetry: Optional[Telemetry] = None,
-        record_codec: str = "v2",
         scan_batch_rows: int = 256,
         bloom_filters: bool = True,
         index_page_capacity: int = DEFAULT_PAGE_CAPACITY,
@@ -216,7 +213,6 @@ class ShardedDBFS:
                     cache_config=fleet.cache_config,
                     journal_config=journal_config,
                     telemetry=fleet.telemetry,
-                    record_codec=record_codec,
                     scan_batch_rows=scan_batch_rows,
                     bloom_filters=bloom_filters,
                     index_page_capacity=index_page_capacity,

@@ -94,6 +94,13 @@ class TestConsentSemantics:
             assert adapter.read(key, PURPOSE_ANALYTICS) is None
 
 
+class TestRgpdOSAdapterCodec:
+    def test_only_binary_v2_accepted(self):
+        assert RgpdOSAdapter(record_codec="v2").system is not None
+        with pytest.raises(ValueError, match="v1"):
+            RgpdOSAdapter(record_codec="v1")
+
+
 class TestForgettingSemantics:
     def test_userspace_delete_leaves_residue(self):
         adapter = UserspaceDBAdapter()

@@ -1,9 +1,10 @@
-"""Tests for the binary record codec v2 and v1/v2 coexistence.
+"""Tests for the binary-v2 record codec, DBFS's one table encoding.
 
 Covers the wire format in isolation (round-trips, partial decode,
-corruption handling), the DBFS encoding negotiation through the format
-descriptor (``record_codec="v1"``/``"v2"``, ``evolve_type`` upgrades,
-mixed-encoding tables), and crash recovery over v2-encoded volumes.
+corruption handling), the format descriptor DBFS writes and checks
+(``evolve_type`` field-order growth, rejection of descriptors and rows
+in any other encoding), JSON escrow blobs beside v2 rows, and crash
+recovery over v2-encoded volumes.
 """
 
 import json
@@ -17,18 +18,16 @@ from repro.core.datatypes import FieldDef, PDType
 from repro.core.membrane import membrane_for_type
 from repro.core.views import View
 from repro.storage.codec import (
-    ENCODING_V1,
     ENCODING_V2,
     RecordCodec,
     codec_for_format,
-    decode_any,
     decode_record_v1,
     encode_record_v1,
     is_v2_payload,
 )
 from repro.storage.crashsim import CrashSim
 from repro.storage.dbfs import DatabaseFS
-from repro.storage.query import DataQuery, StoreRequest, UpdateRequest
+from repro.storage.query import DataQuery, DeleteRequest, StoreRequest
 
 DED = AccessCredential(holder="codec-ded", is_ded=True)
 
@@ -106,9 +105,12 @@ class TestPartialDecode:
         raw = codec.encode({"name": "Ada"})
         assert codec.decode_fields(raw, ["ghost"]) == {}
 
-    def test_v1_row_falls_back_to_projection(self, codec):
+    def test_json_row_rejected(self, codec):
         raw = encode_record_v1({"name": "Ada", "year": 1815})
-        assert codec.decode_fields(raw, ["year"]) == {"year": 1815}
+        with pytest.raises(errors.DBFSError, match="magic"):
+            codec.decode_fields(raw, ["year"])
+        with pytest.raises(errors.DBFSError, match="magic"):
+            codec.decode(raw)
 
 
 class TestSchemaEvolutionRows:
@@ -157,26 +159,15 @@ class TestEncodingDetection:
         assert raw[0] == ord("{")
         assert not is_v2_payload(raw)
 
-    def test_decode_any_dispatches(self, codec):
-        record = {"name": "Ada", "blob": b"\x01\x02"}
-        assert decode_any(codec.encode(dict(record)), codec) == record
-        assert decode_any(encode_record_v1(dict(record)), codec) == record
-        assert decode_any(encode_record_v1(dict(record)), None) == record
-        assert decode_any(b"", codec) == {}
-
-    def test_decode_any_v2_without_codec_rejected(self, codec):
-        raw = codec.encode({"name": "Ada"})
-        with pytest.raises(errors.DBFSError):
-            decode_any(raw, None)
-
     def test_codec_for_format(self):
-        assert codec_for_format({"encoding": ENCODING_V1}) is None
         compiled = codec_for_format(
             {"encoding": ENCODING_V2, "field_order": ["a", "b"]}
         )
         assert compiled.field_order == ["a", "b"]
         with pytest.raises(errors.DBFSError):
             codec_for_format({"encoding": ENCODING_V2})
+        with pytest.raises(errors.DBFSError, match="'user'"):
+            codec_for_format(JSON_DESCRIPTOR)
 
     def test_v1_round_trip_preserves_bytes(self):
         record = {"blob": b"\x00\x01", "name": "Ada"}
@@ -184,8 +175,17 @@ class TestEncodingDetection:
 
 
 # ---------------------------------------------------------------------------
-# DBFS-level encoding negotiation
+# DBFS format descriptors
 # ---------------------------------------------------------------------------
+
+#: A descriptor naming the JSON row encoding, as older volumes wrote it.
+JSON_DESCRIPTOR = {
+    "type": "user",
+    "encoding": "json+base64-bytes",
+    "public_fields": ["name", "year"],
+    "sensitive_fields": ["ssn"],
+    "membrane_encoding": "json",
+}
 
 
 def user_type():
@@ -219,12 +219,9 @@ def evolved_user_type():
     )
 
 
-def make_fs(record_codec):
-    authority = Authority(bits=512, seed=31)
-    fs = DatabaseFS(
-        operator_key=authority.issue_operator_key("codec-op"),
-        record_codec=record_codec,
-    )
+def make_fs(authority=None):
+    authority = authority or Authority(bits=512, seed=31)
+    fs = DatabaseFS(operator_key=authority.issue_operator_key("codec-op"))
     fs.create_type(user_type(), DED)
     return fs
 
@@ -253,114 +250,122 @@ def raw_public_payload(fs, ref):
     return fs.inodes.read_payload(fs._record_index[ref.uid])
 
 
+def forge_descriptor(fs, spec):
+    """Overwrite the user type's format descriptor inode with *spec*."""
+    format_no = fs._formats_root.children["user"]
+    fs.inodes.rewrite_scrubbed(format_no, json.dumps(spec).encode())
+
+
+def store_and_escrow(fs):
+    """One live v2 row (alice) and one escrow-erased record (bob)."""
+    live = store_user(fs, "alice", year=1900)
+    escrowed = store_user(fs, "bob", year=1950)
+    fs.delete(DeleteRequest(escrowed.uid, mode="escrow"), DED)
+    return live, escrowed
+
+
+def assert_escrow_is_json(fs, authority, ref):
+    blob = fs.escrow_blob(ref.uid)
+    assert not is_v2_payload(blob.ciphertext)
+    recovered = decode_record_v1(authority.recover(blob))
+    assert recovered["ssn"] == "ssn-bob"
+
+
 class TestDBFSNegotiation:
     def test_v2_descriptor_declares_encoding_and_order(self):
-        fs = make_fs("v2")
+        fs = make_fs()
         spec = fs._format_of("user")
         assert spec["encoding"] == ENCODING_V2
         assert spec["field_order"] == ["name", "ssn", "year"]
 
-    def test_v1_descriptor_declares_v1(self):
-        fs = make_fs("v1")
-        assert fs._format_of("user")["encoding"] == ENCODING_V1
-
     def test_invalid_codec_rejected(self):
-        with pytest.raises(errors.DBFSError):
-            DatabaseFS(record_codec="v3")
+        # A volume whose descriptor names another row encoding is
+        # refused at mount, on both remount paths, naming the type.
+        authority = Authority(bits=512, seed=33)
+        fs = make_fs(authority)
+        store_user(fs, "alice")
+        forge_descriptor(fs, JSON_DESCRIPTOR)
+        with pytest.raises(errors.DBFSError, match="'user'.*json"):
+            DatabaseFS.remount_from_device(
+                fs.device, fs.inodes,
+                operator_key=authority.issue_operator_key("codec-op"),
+            )
+        with pytest.raises(errors.DBFSError, match="'user'.*json"):
+            fs.remount()
 
-    @pytest.mark.parametrize("record_codec", ["v1", "v2"])
-    def test_round_trip_either_codec(self, record_codec):
-        fs = make_fs(record_codec)
+    def test_round_trip(self):
+        fs = make_fs()
         ref = store_user(fs, "alice", name="Ada-Ω", year=1815)
         assert fetch(fs, ref) == {
             "name": "Ada-Ω", "ssn": "ssn-alice", "year": 1815,
         }
 
     def test_v2_rows_are_binary_on_disk(self):
-        fs = make_fs("v2")
+        fs = make_fs()
         ref = store_user(fs, "alice")
         assert is_v2_payload(raw_public_payload(fs, ref))
 
-    def test_v1_rows_are_json_on_disk(self):
-        fs = make_fs("v1")
+    def test_json_row_is_rejected_not_decoded(self):
+        fs = make_fs()
         ref = store_user(fs, "alice")
-        raw = raw_public_payload(fs, ref)
-        assert not is_v2_payload(raw)
-        json.loads(raw.decode())
+        fs.inodes.rewrite_scrubbed(
+            fs._record_index[ref.uid],
+            encode_record_v1({"name": "Ada", "year": 1815}),
+        )
+        fs._record_cache.clear()
+        with pytest.raises(errors.DBFSError, match="magic"):
+            fetch(fs, ref)  # projection: partial decode
+        with pytest.raises(errors.DBFSError, match="magic"):
+            fs.fetch_records(DataQuery(uids=(ref.uid,)), DED)  # full decode
+        with pytest.raises(errors.DBFSError, match="magic"):
+            fs.export_subject("alice", DED)
 
     def test_escrow_blob_is_always_v1_json(self):
         # The authority must decode escrow without operator descriptors.
-        fs = make_fs("v2")
+        fs = make_fs()
         ref = store_user(fs, "alice")
-        from repro.storage.query import DeleteRequest
-
         fs.delete(DeleteRequest(ref.uid, mode="escrow"), DED)
         blob = fs.escrow_blob(ref.uid)
         assert blob is not None
         assert not is_v2_payload(blob.ciphertext)
 
     def test_remount_preserves_both_codecs(self):
-        for record_codec in ("v1", "v2"):
-            fs = make_fs(record_codec)
-            ref = store_user(fs, "alice", year=1900)
-            fs.remount()
-            assert fetch(fs, ref)["year"] == 1900
+        # v2 table rows and JSON escrow blobs side by side.
+        authority = Authority(bits=512, seed=31)
+        fs = make_fs(authority)
+        live, escrowed = store_and_escrow(fs)
+        fs.remount()
+        assert fetch(fs, live)["year"] == 1900
+        assert_escrow_is_json(fs, authority, escrowed)
 
     def test_remount_from_device_parses_both(self):
-        for record_codec in ("v1", "v2"):
-            authority = Authority(bits=512, seed=32)
-            key = authority.issue_operator_key("codec-op")
-            fs = DatabaseFS(operator_key=key, record_codec=record_codec)
-            fs.create_type(user_type(), DED)
-            ref = store_user(fs, "alice", year=1902)
-            recovered = DatabaseFS.remount_from_device(
-                fs.device, fs.inodes, operator_key=key,
-                record_codec=record_codec,
-            )
-            assert fetch(recovered, ref)["year"] == 1902
+        authority = Authority(bits=512, seed=32)
+        fs = make_fs(authority)
+        live, escrowed = store_and_escrow(fs)
+        recovered = DatabaseFS.remount_from_device(
+            fs.device, fs.inodes,
+            operator_key=authority.issue_operator_key("codec-op"),
+        )
+        assert fetch(recovered, live)["year"] == 1900
+        assert_escrow_is_json(recovered, authority, escrowed)
 
 
 class TestMixedEncodingTables:
-    def test_evolve_upgrades_v1_table_to_v2(self):
-        fs = make_fs("v1")
-        old_ref = store_user(fs, "alice", year=1815)
-        assert not is_v2_payload(raw_public_payload(fs, old_ref))
-
-        fs.evolve_type(evolved_user_type(), DED)
-        spec = fs._format_of("user")
-        assert spec["encoding"] == ENCODING_V2
-        # The v1 descriptor carried no order, so the upgrade sorts all.
-        assert spec["field_order"] == ["name", "phone", "ssn", "year"]
-
-        new_ref = store_user(fs, "bob", year=1990,
-                             pd_type=evolved_user_type())
-        assert is_v2_payload(raw_public_payload(fs, new_ref))
-
-        # Both encodings live in one table; both read correctly.
-        assert fetch(fs, old_ref)["year"] == 1815
-        assert fetch(fs, new_ref)["year"] == 1990
+    """Rows written under different field orders share one table."""
 
     def test_v2_evolution_appends_order_at_tail(self):
         # Ordinals of already-written v2 rows must never move.
-        fs = make_fs("v2")
+        fs = make_fs()
         ref = store_user(fs, "alice", year=1815)
         fs.evolve_type(evolved_user_type(), DED)
         spec = fs._format_of("user")
         assert spec["field_order"] == ["name", "ssn", "year", "phone"]
         assert fetch(fs, ref)["year"] == 1815
 
-    def test_update_migrates_v1_straggler_to_v2(self):
-        fs = make_fs("v1")
-        ref = store_user(fs, "alice", year=1815)
-        fs.evolve_type(evolved_user_type(), DED)
-        fs.update(UpdateRequest(ref.uid, {"phone": "+33-1"}), DED)
-        assert is_v2_payload(raw_public_payload(fs, ref))
-        record = fetch(fs, ref)
-        assert record["phone"] == "+33-1"
-        assert record["year"] == 1815
-
     def test_mixed_table_survives_remount(self):
-        fs = make_fs("v1")
+        # Pre-evolution rows carry a shorter offset table than rows
+        # written after it; both decode after a remount.
+        fs = make_fs()
         old_ref = store_user(fs, "alice", year=1815)
         fs.evolve_type(evolved_user_type(), DED)
         new_ref = store_user(fs, "bob", year=1990,
@@ -370,7 +375,7 @@ class TestMixedEncodingTables:
         assert fetch(fs, new_ref)["year"] == 1990
 
     def test_sensitive_fields_stay_separate_under_v2(self):
-        fs = make_fs("v2")
+        fs = make_fs()
         ref = store_user(fs, "alice")
         raw = raw_public_payload(fs, ref)
         assert b"ssn-alice" not in raw
@@ -382,22 +387,18 @@ class TestMixedEncodingTables:
 
 
 class TestCrashRecoveryByCodec:
-    """Power cut mid-store must not corrupt either codec's rows.
+    """Power cut mid-store must not corrupt v2 rows.
 
-    The full every-write-index sweeps in test_crash_consistency.py run
-    on the v2 default; here a strided sweep pins each codec explicitly
-    so a regression in either wire format is caught by name.
+    The full every-write-index sweeps live in test_crash_consistency.py;
+    this strided sweep is the quick check a codec regression trips.
     """
 
-    @pytest.mark.parametrize("record_codec", ["v1", "v2"])
-    def test_strided_sweep(self, record_codec):
-        report = CrashSim(
-            shard_count=1, record_codec=record_codec
-        ).sweep(stride=7)
+    def test_strided_sweep(self):
+        report = CrashSim(shard_count=1).sweep(stride=7)
         assert report.passed, report.failing_trials()
 
     def test_v2_sharded_spot_checks(self):
-        sim = CrashSim(shard_count=2, record_codec="v2")
+        sim = CrashSim(shard_count=2)
         format_writes, total = sim.measure()
         midpoint = format_writes + (total - format_writes) // 2
         for cut_after in (format_writes, midpoint, total - 1):

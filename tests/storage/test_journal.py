@@ -205,6 +205,39 @@ class TestWrapAround:
         assert "/f0" not in targets
         assert "/f49" in targets
 
+    def test_block_counter_tracks_record_blocks(self):
+        device = BlockDevice(block_count=256, block_size=64)
+        journal = Journal(device, reserved_blocks=12)
+
+        def append_some(count, start):
+            for index in range(start, start + count):
+                journal.begin()
+                # 1..3 blocks per record, so reclaim frees uneven runs.
+                journal.log_write(f"/f{index}", b"x" * (index % 3) * 50)
+                journal.commit()
+
+        def assert_counter(j):
+            assert j.blocks_in_use == sum(len(b) for b in j._record_blocks)
+            assert j.blocks_in_use <= 10
+
+        append_some(40, 0)  # wraps the extent: oldest records reclaimed
+        assert "/f0" not in [r.target for r in journal.records()]
+        assert_counter(journal)
+        journal.checkpoint()
+        assert journal.blocks_in_use == 1  # the checkpoint marker
+        assert_counter(journal)
+        append_some(7, 40)
+        assert_counter(journal)
+        before = journal.blocks_in_use
+        journal.recover()
+        assert journal.blocks_in_use == before
+        assert_counter(journal)
+        remounted = Journal.remount(device, journal.extent)
+        assert remounted.blocks_in_use == before
+        assert_counter(remounted)
+        append_some(20, 47)
+        assert_counter(remounted)
+
     def test_oversized_record_rejected(self):
         device = BlockDevice(block_count=64, block_size=16)
         # 5 slots: two superblock copies + 3 record slots, just enough

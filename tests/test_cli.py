@@ -139,13 +139,6 @@ class TestCommands:
         assert "rgpdos" in out
         assert "plain-db" in out
 
-    def test_gdprbench_v1_codec(self, capsys):
-        assert main(
-            ["gdprbench", "--records", "4", "--ops", "6",
-             "--personas", "customer", "--codec", "v1"]
-        ) == 0
-        assert "rgpdos" in capsys.readouterr().out
-
     def test_gdprbench_with_workers(self, capsys):
         assert main(
             ["gdprbench", "--records", "8", "--ops", "12", "--workers",
@@ -227,13 +220,6 @@ class TestExplainCommand:
         estimated = int(out.split("estimated rows: ")[1].split(" ")[0])
         actual = int(out.split("actual rows: ")[1].split("\n")[0])
         assert estimated == actual
-
-    def test_v1_codec_plan(self, capsys):
-        assert main(
-            ["explain", "user", "city == Lyon", "--records", "20",
-             "--codec", "v1"]
-        ) == 0
-        assert "codec=v1" in capsys.readouterr().out
 
     def test_bad_predicate_rejected(self, capsys):
         assert main(["explain", "user", "not-a-predicate"]) == 2

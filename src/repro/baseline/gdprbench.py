@@ -536,6 +536,11 @@ def build_persona_tasks(
 
         tasks.append(task)
         names.append(op)
+    if delete_pool:
+        # Keys no task drew were never at risk: hand them back, or the
+        # roster shrinks by the unused reservation on every build.
+        with roster_lock:
+            runner.keys.extend(delete_pool)
     return tasks, names
 
 

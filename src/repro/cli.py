@@ -87,7 +87,10 @@ def _demo_system(shards: int = 1, telemetry=None):
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    system = _demo_system()
+    from .obs import Telemetry
+
+    # Spans are opt-in: only a run that writes them out records them.
+    system = _demo_system(telemetry=Telemetry() if args.trace_out else None)
     if args.workers > 0:
         system.start_engine(workers=args.workers)
         future = system.invoke_async("compute_age", target="user")

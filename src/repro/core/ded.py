@@ -717,11 +717,10 @@ class DataExecutionDomain:
         simulated: Optional[float],
         thunk: Callable[[], object],
     ) -> object:
-        with self.telemetry.op(_STAGE_OPS[stage]):
-            start = time.perf_counter()
-            value = thunk()
-            wall = time.perf_counter() - start
-        trace.charge(stage, simulated if simulated is not None else 0.0, wall)
+        # One measurement feeds both StageTrace and the stage histogram.
+        value, wall_ns = self.telemetry.measure(_STAGE_OPS[stage], thunk)
+        trace.charge(stage, simulated if simulated is not None else 0.0,
+                     wall_ns / 1e9)
         self.clock.advance(simulated if simulated is not None else 0.0)
         return value
 

@@ -97,10 +97,16 @@ class RgpdOS:
         self.clock = Clock()
         #: Cross-layer telemetry (``repro.obs``): one metrics registry
         #: and one tracer shared by the PS, DEDs, rights API, DBFS,
-        #: journals and block devices.  Enabled by default; pass
-        #: ``Telemetry.disabled()`` to strip every probe down to a
-        #: null-object no-op.
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
+        #: journals and block devices.  Histograms, counters and gauges
+        #: are always on: the default is ``Telemetry(tracing=False)``,
+        #: one latency sample per operation and no span.  Spans are
+        #: opt-in: pass ``Telemetry()`` for the cross-layer span trees
+        #: too, at several times the probe cost (docs/API.md gives the
+        #: measured ratios).  ``Telemetry.disabled()`` strips every
+        #: probe down to a null-object no-op.
+        self.telemetry = (
+            telemetry if telemetry is not None else Telemetry(tracing=False)
+        )
         self.operator_name = operator_name
         self.authority = authority or Authority(bits=key_bits, seed=seed)
         self.operator_key = self.authority.issue_operator_key(operator_name)

@@ -23,8 +23,9 @@ which the paper cites for the idea).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .. import errors
 
@@ -133,7 +134,12 @@ class DEDPlacer:
         self.sites = sites or default_sites()
         if SITE_HOST not in self.sites:
             raise errors.KernelError("a host site is mandatory")
-        self.decisions: List[PlacementDecision] = []
+        # Per-site decision counts: a long-running system places once
+        # per invocation, so keeping the decisions themselves would
+        # grow without bound.  Locked: engine workers place
+        # concurrently and ``+= 1`` is a read-modify-write.
+        self._site_counts: Dict[str, int] = {}
+        self._lock = threading.Lock()
 
     def place(
         self,
@@ -153,7 +159,8 @@ class DEDPlacer:
             bytes_per_record=bytes_per_record,
             compute_intensity=compute_intensity,
         )
-        self.decisions.append(decision)
+        with self._lock:
+            self._site_counts[best] = self._site_counts.get(best, 0) + 1
         return decision
 
     def crossover_records(
@@ -191,7 +198,6 @@ class DEDPlacer:
         return high
 
     def placement_report(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for decision in self.decisions:
-            counts[decision.site] = counts.get(decision.site, 0) + 1
-        return counts
+        """Decisions made so far, per chosen site."""
+        with self._lock:
+            return dict(self._site_counts)

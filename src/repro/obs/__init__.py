@@ -12,6 +12,12 @@ bundles
 * exporters (``snapshot()`` JSON, ``to_prometheus()`` text, JSONL /
   Chrome ``trace_event`` span dumps).
 
+Histograms, counters and gauges are the always-on layer: an
+:class:`~repro.core.system.RgpdOS` built without a ``telemetry``
+argument gets ``Telemetry(tracing=False)``, whose probes record one
+latency sample per operation and open no span.  Spans are opt-in:
+pass ``Telemetry()`` to get the span trees as well.
+
 Disabled mode (``Telemetry.disabled()``) hands out shared null
 instruments so instrumentation left in the code costs roughly one
 attribute check per operation.  ``NULL_TELEMETRY`` is the module-wide
@@ -21,39 +27,15 @@ standalone.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from .exporters import parse_prometheus, snapshot, to_prometheus
 from .histogram import DEFAULT_BUCKET_BOUNDS_NS, LatencyHistogram
 from .registry import (Counter, Gauge, MetricsRegistry, Timer,
                        NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, NULL_TIMER)
-from .tracing import NULL_SPAN, Span, Tracer
+from .tracing import NULL_SPAN, Span, Tracer, _Probe, _SpanProbe, _clock
 
-
-class _OpContext:
-    """Span + latency histogram for one named operation, in one ``with``."""
-
-    __slots__ = ("_telemetry", "_name", "_attrs", "_span_cm", "_start_ns")
-
-    def __init__(self, telemetry: "Telemetry", name: str,
-                 attrs: Dict[str, object]):
-        self._telemetry = telemetry
-        self._name = name
-        self._attrs = attrs
-        self._span_cm = None
-        self._start_ns = 0
-
-    def __enter__(self):
-        self._start_ns = time.perf_counter_ns()
-        self._span_cm = self._telemetry.tracer.span(self._name, **self._attrs)
-        return self._span_cm.__enter__()
-
-    def __exit__(self, *exc_info) -> bool:
-        self._span_cm.__exit__(*exc_info)
-        self._telemetry.registry.histogram(self._name).observe(
-            time.perf_counter_ns() - self._start_ns)
-        return False
+T = TypeVar("T")
 
 
 class _NullOp:
@@ -101,15 +83,50 @@ class Telemetry:
         return self.tracer.span(name, **attrs)
 
     def op(self, name: str, **attrs: object):
-        """Trace span *and* latency histogram for one operation.
+        """Latency histogram sample, and a trace span when tracing, for
+        one operation.
 
-        The context target is the live :class:`Span` (or a shared null
-        span when disabled), so callers may ``span.set_attr(...)``
-        results discovered mid-operation.
+        One probe per call: the histogram is resolved once, one pair of
+        clock reads feeds both instruments, and the span exists only
+        when the tracer is on.  The context target is the live
+        :class:`Span` (or a shared null span when not tracing), so
+        callers may ``span.set_attr(...)`` results discovered
+        mid-operation.
         """
         if not self.enabled:
             return _NULL_OP
-        return _OpContext(self, name, attrs)
+        histogram = self.registry.histogram(name)
+        tracer = self.tracer
+        if tracer.enabled:
+            return _SpanProbe(tracer, histogram, name, attrs)
+        # Built without a Python-level __init__: this is the per-call
+        # cost of every untraced operation.
+        probe = _Probe()
+        probe._histogram = histogram
+        return probe
+
+    def measure(self, name: str, thunk: Callable[[], T]) -> Tuple[T, int]:
+        """Run ``thunk`` as one operation; return its value and duration.
+
+        For a caller that keeps its own accounting beside the histogram
+        (the DED's per-stage ``StageTrace``): one pair of clock reads
+        feeds both.  Without tracing no probe object is built; with
+        tracing the operation is an :meth:`op` and gets its span.  The
+        duration is measured even when telemetry is disabled.
+        """
+        if self.tracer.enabled:
+            probe = self.op(name)
+            with probe:
+                value = thunk()
+            return value, probe.elapsed_ns
+        histogram = self.registry.histogram(name)
+        start = _clock()
+        try:
+            value = thunk()
+        finally:
+            elapsed = _clock() - start
+            histogram.observe(elapsed)
+        return value, elapsed
 
     # -- exports ---------------------------------------------------------
 

@@ -4,8 +4,8 @@ A :class:`LatencyHistogram` is the unit of latency accounting for the
 whole telemetry layer: every instrumented operation records one
 ``perf_counter_ns`` delta into one histogram.  The design goals are
 
-* **cheap observe** — one ``bisect`` over a shared tuple of bucket
-  upper bounds plus two attribute updates; no allocation;
+* **cheap observe** — one list append; samples are folded into the
+  buckets in batches, off the per-operation path;
 * **useful percentiles** — p50/p95/p99 answered by a cumulative walk
   with linear interpolation inside the winning bucket, clamped to the
   exact observed min/max so tails are never over-reported;
@@ -21,83 +21,149 @@ observed maximum.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence
 
 # Upper bounds (inclusive), in nanoseconds: 2**8 .. 2**34.
 DEFAULT_BUCKET_BOUNDS_NS = tuple(1 << exp for exp in range(8, 35))
 
 
+#: Samples a histogram buffers before folding them into its buckets.
+FOLD_BATCH = 256
+
+
 class LatencyHistogram:
     """A fixed-bucket histogram of durations in nanoseconds.
 
-    ``observe`` takes a per-histogram lock: the bucket increment, the
-    running count/sum and the min/max updates are a multi-step
-    read-modify-write, and the request engine records samples from
-    many worker threads into one shared histogram.  Percentile reads
-    take the same lock so a summary never sees a half-applied sample.
+    ``observe`` only appends the sample to a pending list: one
+    ``list.append``, which is atomic, so worker threads recording into
+    one shared histogram need no lock on the per-operation path.  Every
+    :data:`FOLD_BATCH` samples, and before every read, the pending
+    samples are folded into the buckets, count, sum and extrema under
+    the histogram's lock.  A read therefore sees every sample recorded
+    before it, and never a half-applied one.
     """
 
-    __slots__ = ("name", "bounds", "counts", "count", "sum_ns",
-                 "min_ns", "max_ns", "_lock")
+    __slots__ = ("name", "bounds", "_counts", "_count", "_sum_ns",
+                 "_min_ns", "_max_ns", "_pending", "_lock")
 
     def __init__(self, name: str,
                  bounds: Sequence[int] = DEFAULT_BUCKET_BOUNDS_NS):
         self.name = name
         self.bounds = tuple(bounds)
-        # One count per bound plus a final overflow bucket.
-        self.counts: List[int] = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum_ns = 0
-        self.min_ns: Optional[int] = None
-        self.max_ns = 0
+        self._pending: List[int] = []
         self._lock = threading.Lock()
+        self._clear()
+
+    def _clear(self) -> None:
+        # One count per bound plus a final overflow bucket.
+        self._counts: List[int] = [0] * (len(self.bounds) + 1)
+        self._count = 0
+        self._sum_ns = 0
+        self._min_ns: Optional[int] = None
+        self._max_ns = 0
 
     def observe(self, duration_ns: int) -> None:
         """Record one duration (negative clock skew clamps to zero)."""
-        if duration_ns < 0:
-            duration_ns = 0
-        bucket = bisect_left(self.bounds, duration_ns)
+        pending = self._pending
+        pending.append(duration_ns)
+        if len(pending) >= FOLD_BATCH:
+            with self._lock:
+                self._fold_locked()
+
+    def _fold_locked(self) -> None:
+        pending = self._pending
+        taken = len(pending)
+        if not taken:
+            return
+        # Appends racing this fold land past ``taken`` and stay pending.
+        batch = pending[:taken]
+        del pending[:taken]
+        # Sorted, the batch splits into buckets with one bisect per
+        # bound instead of one per sample.
+        batch.sort()
+        if batch[0] < 0:  # negative clock skew clamps to zero
+            negatives = bisect_left(batch, 0)
+            batch[:negatives] = [0] * negatives
+        counts = self._counts
+        below = 0
+        for index, bound in enumerate(self.bounds):
+            upto = bisect_right(batch, bound, below)
+            counts[index] += upto - below
+            below = upto
+            if below == taken:
+                break
+        counts[-1] += taken - below
+        self._count += taken
+        self._sum_ns += sum(batch)
+        if self._min_ns is None or batch[0] < self._min_ns:
+            self._min_ns = batch[0]
+        if batch[-1] > self._max_ns:
+            self._max_ns = batch[-1]
+
+    def _folded(self, attr: str):
         with self._lock:
-            self.counts[bucket] += 1
-            self.count += 1
-            self.sum_ns += duration_ns
-            if self.min_ns is None or duration_ns < self.min_ns:
-                self.min_ns = duration_ns
-            if duration_ns > self.max_ns:
-                self.max_ns = duration_ns
+            self._fold_locked()
+            return getattr(self, attr)
+
+    @property
+    def count(self) -> int:
+        return self._folded("_count")
+
+    @property
+    def sum_ns(self) -> int:
+        return self._folded("_sum_ns")
+
+    @property
+    def min_ns(self) -> Optional[int]:
+        return self._folded("_min_ns")
+
+    @property
+    def max_ns(self) -> int:
+        return self._folded("_max_ns")
+
+    @property
+    def counts(self) -> List[int]:
+        """Per-bucket counts, the overflow bucket last (a copy)."""
+        return list(self._folded("_counts"))
 
     def percentile(self, fraction: float) -> float:
         """Estimated duration (ns) at ``fraction`` in [0, 1]."""
         with self._lock:
+            self._fold_locked()
             return self._percentile_locked(fraction)
 
     def _percentile_locked(self, fraction: float) -> float:
-        if self.count == 0:
+        if self._count == 0:
             return 0.0
-        target = fraction * self.count
+        target = fraction * self._count
         cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
+        for index, bucket_count in enumerate(self._counts):
             if bucket_count == 0:
                 continue
             if cumulative + bucket_count >= target:
                 if index >= len(self.bounds):
-                    return float(self.max_ns)
+                    return float(self._max_ns)
                 lower = self.bounds[index - 1] if index else 0
                 upper = self.bounds[index]
                 position = (target - cumulative) / bucket_count
                 estimate = lower + (upper - lower) * position
                 # The true extrema are known exactly; never exceed them.
-                estimate = min(estimate, float(self.max_ns))
-                if self.min_ns is not None:
-                    estimate = max(estimate, float(self.min_ns))
+                estimate = min(estimate, float(self._max_ns))
+                if self._min_ns is not None:
+                    estimate = max(estimate, float(self._min_ns))
                 return estimate
             cumulative += bucket_count
-        return float(self.max_ns)
+        return float(self._max_ns)
+
+    def _mean_locked(self) -> float:
+        return self._sum_ns / self._count if self._count else 0.0
 
     @property
     def mean_ns(self) -> float:
-        return self.sum_ns / self.count if self.count else 0.0
+        with self._lock:
+            self._fold_locked()
+            return self._mean_locked()
 
     def summary(self) -> Dict[str, float]:
         """p50/p95/p99/max (and count/mean) in microseconds."""
@@ -106,22 +172,20 @@ class LatencyHistogram:
             return round(ns / 1000.0, 3)
 
         with self._lock:
+            self._fold_locked()
             return {
-                "count": self.count,
+                "count": self._count,
                 "p50_us": us(self._percentile_locked(0.50)),
                 "p95_us": us(self._percentile_locked(0.95)),
                 "p99_us": us(self._percentile_locked(0.99)),
-                "max_us": us(self.max_ns),
-                "mean_us": us(self.mean_ns),
+                "max_us": us(self._max_ns),
+                "mean_us": us(self._mean_locked()),
             }
 
     def reset(self) -> None:
         with self._lock:
-            self.counts = [0] * (len(self.bounds) + 1)
-            self.count = 0
-            self.sum_ns = 0
-            self.min_ns = None
-            self.max_ns = 0
+            del self._pending[:]
+            self._clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LatencyHistogram({self.name!r}, count={self.count}, "

@@ -194,10 +194,12 @@ class MetricsRegistry:
         return gauge
 
     def histogram(self, name: str) -> LatencyHistogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM  # type: ignore[return-value]
+        # Probes ask on every operation: the common hit is one dict get
+        # (a disabled registry never holds a histogram).
         histogram = self.histograms.get(name)
         if histogram is None:
+            if not self.enabled:
+                return NULL_HISTOGRAM  # type: ignore[return-value]
             with self._lock:
                 histogram = self.histograms.get(name)
                 if histogram is None:

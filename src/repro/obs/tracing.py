@@ -22,6 +22,11 @@ Determinism and bounds:
   operations under CPython, so finished spans from all threads land in
   one shared, bounded buffer without a lock.
 
+A probe is one timed operation in one ``with``: ``_SpanProbe`` opens a
+span (and, for :meth:`repro.obs.Telemetry.op`, feeds a latency
+histogram from the same two clock reads); the untraced ``_Probe`` only
+feeds the histogram.
+
 Exports: JSONL (one span per line, loadable with ``json.loads``) and
 the Chrome ``trace_event`` format (open in ``chrome://tracing`` or
 Perfetto).
@@ -110,39 +115,66 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class _SpanContext:
-    """Context manager that opens a span on enter and closes on exit."""
+_clock = time.perf_counter_ns
 
-    __slots__ = ("_tracer", "_name", "_attrs", "_span")
 
-    def __init__(self, tracer: "Tracer", name: str,
-                 attrs: Dict[str, object]):
+class _Probe:
+    """One timed operation: one pair of clock reads, one histogram sample."""
+
+    __slots__ = ("_histogram", "_start_ns")
+
+    def __enter__(self):
+        self._start_ns = _clock()
+        return NULL_SPAN
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._histogram.observe(_clock() - self._start_ns)
+        return False
+
+
+class _SpanProbe(_Probe):
+    """A probe that also opens a span, timed by the same clock reads.
+
+    Without a histogram (a bare :meth:`Tracer.span`) it only traces.
+    ``elapsed_ns`` holds the measured duration after exit, so a caller
+    keeping its own accounting reads the same measurement instead of
+    timing the operation a second time.
+    """
+
+    __slots__ = ("_tracer", "_name", "_attrs", "_span", "_stack",
+                 "elapsed_ns")
+
+    def __init__(self, tracer: "Tracer", histogram,
+                 name: str, attrs: Dict[str, object]):
+        self._histogram = histogram
         self._tracer = tracer
         self._name = name
         self._attrs = attrs
-        self._span: Optional[Span] = None
 
     def __enter__(self) -> Span:
         tracer = self._tracer
         stack = tracer._thread_stack()
-        parent = stack[-1] if stack else None
-        if parent is None:
-            trace_id = next(tracer._trace_ids)
-            parent_id = None
+        if stack:
+            parent = stack[-1]
+            trace_id, parent_id = parent.trace_id, parent.span_id
         else:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
+            trace_id, parent_id = next(tracer._trace_ids), None
+        self._start_ns = start = _clock()
         span = Span(trace_id, next(tracer._span_ids), parent_id,
-                    self._name, time.perf_counter_ns(), self._attrs)
+                    self._name, start, self._attrs)
         stack.append(span)
+        self._stack = stack
         self._span = span
         return span
 
-    def __exit__(self, *exc_info) -> bool:
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        end = _clock()
+        self.elapsed_ns = elapsed = end - self._start_ns
         span = self._span
-        span.end_ns = time.perf_counter_ns()
-        tracer = self._tracer
-        stack = tracer._thread_stack()
+        span.end_ns = end
+        # A ``with`` block enters and exits on one thread, so the stack
+        # captured on enter is this thread's stack.
+        stack = self._stack
         if stack and stack[-1] is span:
             stack.pop()
         else:  # exception unwound out of order; stay consistent
@@ -150,7 +182,10 @@ class _SpanContext:
                 stack.remove(span)
             except ValueError:
                 pass
-        tracer._finished.append(span)
+        self._tracer._finished.append(span)
+        histogram = self._histogram
+        if histogram is not None:
+            histogram.observe(elapsed)
         return False
 
 
@@ -179,7 +214,7 @@ class Tracer:
         """Open a child of the innermost active span (or a new trace)."""
         if not self.enabled:
             return NULL_SPAN
-        return _SpanContext(self, name, attrs)
+        return _SpanProbe(self, None, name, attrs)
 
     @property
     def current_span(self) -> Optional[Span]:

@@ -11,6 +11,7 @@ from repro.baseline.gdprbench import (
     PlainDBAdapter,
     RgpdOSAdapter,
     UserspaceDBAdapter,
+    build_persona_tasks,
 )
 from repro.workloads.generator import PopulationGenerator
 
@@ -141,6 +142,19 @@ class TestRunner:
         runner.load(10)
         runner.run("customer", 50)  # includes delete+reinsert ops
         assert len(runner.keys) == 10
+
+    def test_persona_tasks_keep_the_roster_whole(self):
+        """Built task lists hand back the erasure keys they never drew:
+        a long run keeps drawing from the whole population."""
+        population = 200
+        runner = GDPRBenchRunner(UserspaceDBAdapter(), seed=3)
+        runner.load(population)
+        for chunk in range(50):
+            tasks, _ = build_persona_tasks(runner, "customer", 100, seed=chunk)
+            for task in tasks:
+                task()
+            assert len(runner.keys) == population
+        assert len(set(runner.keys)) == population
 
     def test_deterministic_given_seed(self):
         results = []

@@ -1,5 +1,9 @@
 """Unit tests for DED placement (host / PIM / storage, § 3(3))."""
 
+import sys
+import threading
+import tracemalloc
+
 import pytest
 
 from repro import errors
@@ -89,3 +93,41 @@ class TestPlacer:
         report = placer.placement_report()
         assert sum(report.values()) == 3
         assert report.get(SITE_HOST, 0) >= 2
+
+    def test_placer_holds_no_per_call_state(self, placer):
+        """The placer keeps counts, not decisions: memory it retains
+        does not grow with the number of placements."""
+        placer.place(10, 128)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for index in range(10_000):
+                placer.place(10 + index % 7, 128)
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        grown = sum(
+            diff.size_diff
+            for diff in after.compare_to(before, "filename")
+            if diff.traceback[0].filename.endswith("pim.py")
+        )
+        assert grown < 1024
+        assert sum(placer.placement_report().values()) == 10_001
+
+    def test_parallel_placements_all_counted(self, placer):
+        def worker():
+            for _ in range(500):
+                placer.place(10, 128)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert placer.placement_report() == {SITE_HOST: 4000}

@@ -97,6 +97,33 @@ class TestHistogram:
         assert histogram.count == 0
         assert histogram.sum_ns == 0
 
+    def test_batched_samples_fold_exactly(self):
+        """Samples buffered between folds are never lost or misbucketed:
+        every read matches a bucket-per-sample reference."""
+        histogram = LatencyHistogram("h")
+        samples = [(index * 7919) % (1 << 20) - 3 for index in range(1000)]
+        samples += [256, 257, 1 << 34, (1 << 34) + 1]
+        reference = [0] * (len(DEFAULT_BUCKET_BOUNDS_NS) + 1)
+        for step, ns in enumerate(samples, start=1):
+            histogram.observe(ns)
+            clamped = max(ns, 0)
+            bucket = next((index for index, bound
+                           in enumerate(DEFAULT_BUCKET_BOUNDS_NS)
+                           if clamped <= bound),
+                          len(DEFAULT_BUCKET_BOUNDS_NS))
+            reference[bucket] += 1
+            if step % 333 == 0:  # reads between folds see every sample
+                assert histogram.count == step
+        clamped = [max(ns, 0) for ns in samples]
+        assert histogram.counts == reference
+        assert histogram.count == len(samples)
+        assert histogram.sum_ns == sum(clamped)
+        assert histogram.min_ns == 0
+        assert histogram.max_ns == (1 << 34) + 1
+        histogram.observe(5)
+        histogram.reset()
+        assert histogram.count == 0 and histogram.counts == [0] * len(reference)
+
 
 class TestTimer:
     def test_timer_observes_into_histogram(self):

@@ -8,6 +8,7 @@ histogram never loses an observation, and the tracer never interleaves
 two threads' spans into one broken tree.
 """
 
+import sys
 import threading
 
 from repro.obs import LatencyHistogram, MetricsRegistry, Telemetry
@@ -76,6 +77,40 @@ class TestHistogramExactness:
         assert histogram.count == THREADS * ROUNDS
         assert histogram.min_ns == 1000
         assert histogram.max_ns == 1000 * THREADS + ROUNDS - 1
+
+    def test_folds_racing_appends_lose_nothing(self):
+        """Readers fold the pending samples while writers append: with a
+        tiny switch interval the two interleave constantly, and every
+        sample still lands in exactly one fold."""
+        histogram = LatencyHistogram("lat")
+        per_thread = 2000
+        done = threading.Event()
+        seen = []
+
+        def writer(i):
+            for j in range(per_thread):
+                histogram.observe(i * per_thread + j + 1)
+
+        def reader():
+            while not done.is_set():
+                seen.append(histogram.count)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            watcher = threading.Thread(target=reader)
+            watcher.start()
+            run_parallel(writer)
+            done.set()
+            watcher.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not watcher.is_alive()
+        total = THREADS * per_thread
+        assert histogram.count == total
+        assert histogram.sum_ns == total * (total + 1) // 2
+        assert histogram.min_ns == 1 and histogram.max_ns == total
+        assert seen == sorted(seen)
 
     def test_parallel_timers_via_registry(self):
         registry = MetricsRegistry()

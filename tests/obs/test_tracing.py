@@ -110,11 +110,59 @@ class TestDisabledTracer:
         assert system.telemetry.registry.histograms == {}
 
 
+class TestTelemetryDefaults:
+    def test_default_system_keeps_histograms_not_spans(self):
+        """RgpdOS's default telemetry records every latency histogram of
+        the demo workload, and no span."""
+        from repro.cli import _demo_system
+
+        system = _demo_system()
+        system.invoke("compute_age", target="user")
+        system.rights.object_to("bob", "purpose3")
+        system.invoke("compute_age", target="user")
+        system.rights.erase("alice")
+        system.audit()
+
+        histograms = system.telemetry.registry.histograms
+        assert set(histograms) == {
+            "block.read", "block.scrub", "block.write",
+            "dbfs.delete", "dbfs.export_subject", "dbfs.fetch_records",
+            "dbfs.query_membranes", "dbfs.remount",
+            "dbfs.remount.index_attach", "dbfs.store",
+            "ded.ded_execute", "ded.ded_filter", "ded.ded_load_data",
+            "ded.ded_load_membrane", "ded.ded_return", "ded.ded_store",
+            "ded.ded_type2req", "ded.run", "journal.commit", "ps.invoke",
+            "rights.erase",
+        }
+        assert histograms["ps.invoke"].count == 2
+        assert histograms["ded.run"].count == 2
+        assert histograms["ded.ded_load_membrane"].count == 2
+        assert len(system.telemetry.tracer) == 0
+
+    def test_measure_times_even_when_disabled(self):
+        value, elapsed = Telemetry.disabled().measure("stage", lambda: 42)
+        assert value == 42 and elapsed >= 0
+
+    def test_measure_feeds_histogram_and_span_from_one_reading(self):
+        quiet = Telemetry(tracing=False)
+        _, elapsed = quiet.measure("stage", lambda: None)
+        assert quiet.registry.histograms["stage"].sum_ns == elapsed
+        assert len(quiet.tracer) == 0
+
+        traced = Telemetry()
+        with traced.op("outer"):
+            _, elapsed = traced.measure("stage", lambda: None)
+        spans = {span.name: span for span in traced.tracer.finished_spans()}
+        assert spans["stage"].parent_id == spans["outer"].span_id
+        assert spans["stage"].duration_ns == elapsed
+        assert traced.registry.histograms["stage"].sum_ns == elapsed
+
+
 @pytest.fixture
 def traced_system(shared_authority):
     system = RgpdOS(
         operator_name="traced", authority=shared_authority,
-        with_machine=False,
+        with_machine=False, telemetry=Telemetry(),
     )
     system.install(LISTING1_DECLARATIONS)
     system.register(helpers.birth_decade)
@@ -159,6 +207,17 @@ class TestSystemTraces:
                    for s in spans if s.parent_id is not None)
         assert max(depth(span) for span in spans) >= 2
 
+    def test_stage_spans_nest_under_ded_run(self, traced_system):
+        traced_system.telemetry.tracer.clear()
+        traced_system.invoke("birth_decade", target="user")
+        spans = traced_system.telemetry.tracer.finished_spans()
+        ded_run = next(s for s in spans if s.name == "ded.run")
+        stages = [s for s in spans if s.name.startswith("ded.ded_")]
+        assert {s.name for s in stages} >= {
+            "ded.ded_type2req", "ded.ded_load_membrane", "ded.ded_filter",
+        }
+        assert all(s.parent_id == ded_run.span_id for s in stages)
+
     def test_invoke_span_attributes(self, traced_system):
         traced_system.telemetry.tracer.clear()
         traced_system.invoke("birth_decade", target="user")
@@ -172,7 +231,7 @@ class TestSystemTraces:
     def test_bulk_erase_fans_out_across_shards(self, shared_authority):
         system = RgpdOS(
             operator_name="sharded-traced", authority=shared_authority,
-            with_machine=False, shards=4,
+            with_machine=False, shards=4, telemetry=Telemetry(),
         )
         system.install(LISTING1_DECLARATIONS)
         subject_ids = [f"subject-{index}" for index in range(12)]

@@ -275,7 +275,8 @@ def test_concurrency_open_loop_latency():
 def test_concurrency_telemetry_overhead():
     """Probes stay within budget with every layer crossed by threads."""
     ops = max(60, OPS // 4)
-    enabled_runner = build_runner(workers=WORKERS)
+    # Spans plus histograms: the span stacks are what threads contend on.
+    enabled_runner = build_runner(workers=WORKERS, telemetry=Telemetry())
     enabled_tasks, enabled_names = build_ops(enabled_runner, ops, seed=47)
     enabled_seconds = run_concurrent(
         enabled_runner.adapter.system.engine, enabled_tasks, enabled_names

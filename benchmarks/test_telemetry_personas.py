@@ -27,13 +27,9 @@ allocate are still collected as usual.
 Gate: processor, the purpose-read persona with the most probes per unit
 of work, stays within ``MAX_RATIO``; all four ratios are recorded in
 ``BENCH_telemetry.json``.
-
-Scale knobs: ``TELEMETRY_PERSONA_SECONDS`` (default 6.0) and
-``TELEMETRY_PERSONA_MIN_PAIRS`` (default 7, at least 5).
 """
 
 import gc
-import os
 import statistics
 import sys
 
@@ -45,8 +41,8 @@ from conftest import print_series
 sys.path.append(str(REPO_ROOT / "perfbench"))
 from workloads import WORKLOADS, ClosedLoop, check_erasures, set_up  # noqa: E402
 
-SECONDS = float(os.environ.get("TELEMETRY_PERSONA_SECONDS", "6.0"))
-MIN_PAIRS = max(5, int(os.environ.get("TELEMETRY_PERSONA_MIN_PAIRS", "7")))
+SECONDS = 6.0
+MIN_PAIRS = 7
 SEED = 3
 MAX_RATIO = 1.10
 GATED = ("processor",)
